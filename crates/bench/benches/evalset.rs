@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftclip_core::EvalSet;
-use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget};
+use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, NoCache};
 use ftclip_nn::Sequential;
 use std::hint::black_box;
 
@@ -50,8 +50,9 @@ fn bench_campaign_cell(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("cell/alexnet-w0.125/64imgs", |bench| {
         bench.iter(|| {
-            let mut n = net.clone();
-            black_box(campaign.run(&mut n, |m: &Sequential| eval.accuracy(m)))
+            black_box(
+                campaign.run(&net, ftclip_tensor::num_threads(), &NoCache, |m: &Sequential| eval.accuracy(m)),
+            )
         });
     });
     group.finish();
@@ -82,10 +83,7 @@ fn bench_suffix_cell(c: &mut Criterion) {
                 &threads,
                 |bench, &threads| {
                     bench.iter(|| {
-                        black_box(
-                            campaign
-                                .run_parallel_with_threads(&net, threads, |m: &Sequential| eval.accuracy(m)),
-                        )
+                        black_box(campaign.run(&net, threads, &NoCache, |m: &Sequential| eval.accuracy(m)))
                     });
                 },
             );
@@ -94,9 +92,7 @@ fn bench_suffix_cell(c: &mut Criterion) {
                 BenchmarkId::new(format!("suffix/{label}-{layer}"), threads),
                 &threads,
                 |bench, &threads| {
-                    bench.iter(|| {
-                        black_box(campaign.run_parallel_with_threads(&net, threads, suffix.clone()))
-                    });
+                    bench.iter(|| black_box(campaign.run(&net, threads, &NoCache, suffix.clone())));
                 },
             );
         }

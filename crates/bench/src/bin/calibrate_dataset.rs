@@ -1,4 +1,5 @@
-//! Calibration utility: dataset difficulty sweep (results feed DESIGN.md SS 3).
+//! Calibration utility: dataset difficulty sweep (its pick is the `DataSpec`
+//! default; see `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`).
 //!
 //! Thin wrapper over the `calibrate` preset — `ftclip run calibrate` is
 //! the canonical entry point (same flags, same output).

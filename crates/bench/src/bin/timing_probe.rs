@@ -3,7 +3,7 @@
 //! (Criterion benches measure the same paths with proper statistics).
 //!
 //! `timing_probe campaign [--out FILE]` additionally measures the campaign
-//! executors on the synthetic-LeNet workload: the parallel executor's
+//! executor on the synthetic-LeNet workload: its
 //! worker-count speedup (paper-default grid at 1, 2 and 4 workers — worker
 //! counts beyond the machine's core count cannot speed anything up, so
 //! interpret the ratios against the reported `available_parallelism`), and
@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use ftclip_core::EvalSet;
 use ftclip_data::Dataset;
-use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, StoppingRule};
+use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, NoCache, StoppingRule};
 use ftclip_nn::{Scratch, Sequential, Span};
 use ftclip_tensor::{with_thread_limit, Tensor};
 
@@ -114,7 +114,7 @@ fn probe_campaign_speedup() -> Vec<(usize, f64)> {
     let mut baseline = None;
     for threads in [1usize, 2, 4] {
         let t = Instant::now();
-        let result = campaign.run_parallel_with_threads(&net, threads, |m: &Sequential| eval.accuracy(m));
+        let result = campaign.run(&net, threads, &NoCache, |m: &Sequential| eval.accuracy(m));
         let secs = t.elapsed().as_secs_f64();
         let baseline = *baseline.get_or_insert(secs);
         println!(
@@ -172,11 +172,9 @@ fn time_suffix_campaign(
         target: InjectionTarget::Layer(layer_index),
         stopping: None,
     });
-    let full_s = time_median(3, || {
-        campaign.run_parallel_with_threads(net, threads, |m: &Sequential| eval.accuracy(m))
-    });
+    let full_s = time_median(3, || campaign.run(net, threads, &NoCache, |m: &Sequential| eval.accuracy(m)));
     let suffix = eval.suffix_eval();
-    let suffix_s = time_median(3, || campaign.run_parallel_with_threads(net, threads, suffix.clone()));
+    let suffix_s = time_median(3, || campaign.run(net, threads, &NoCache, suffix.clone()));
     let stats = suffix.cache().stats();
     SuffixRow {
         label,
@@ -292,12 +290,11 @@ fn probe_adaptive(out_path: &str) {
     );
 
     let t = Instant::now();
-    let fixed =
-        Campaign::new(fixed_cfg).run_parallel_with_threads(&net, threads, |m: &Sequential| eval.accuracy(m));
+    let fixed = Campaign::new(fixed_cfg).run(&net, threads, &NoCache, |m: &Sequential| eval.accuracy(m));
     let fixed_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let adaptive = Campaign::new(adaptive_cfg)
-        .run_parallel_with_threads(&net, threads, |m: &Sequential| eval.accuracy(m));
+    let adaptive =
+        Campaign::new(adaptive_cfg).run(&net, threads, &NoCache, |m: &Sequential| eval.accuracy(m));
     let adaptive_s = t.elapsed().as_secs_f64();
 
     let fixed_injections = fixed.total_repetitions();

@@ -63,10 +63,10 @@ pub fn clip_mode(ctx: &mut RunContext) -> Result<(), SpecError> {
         "clip-to-zero"
     );
     let mut results = Vec::new();
-    for (name, mut net) in variants {
+    for (name, net) in variants {
         eprintln!("[ablation] campaign on {name} …");
         let session = ctx.campaign_session("ablation_clip_mode", &net, campaign.config());
-        let res = campaign.run_cached(&mut net, &session, eval.suffix_eval());
+        let res = campaign.run(&net, ftclip_tensor::num_threads(), &session, eval.suffix_eval());
         results.push((name, res));
     }
     let mut table =
@@ -109,7 +109,7 @@ pub fn fault_models(ctx: &mut RunContext) -> Result<(), SpecError> {
     let mut aucs = Vec::new();
     for model in models {
         for (net_name, base) in [("unprotected", &workload.model.network), ("clipped", &hardened)] {
-            let mut net = base.clone();
+            let net = base.clone();
             let mut cfg = ctx
                 .spec
                 .campaign_config_with_scale(workload.rate_scale())
@@ -119,7 +119,7 @@ pub fn fault_models(ctx: &mut RunContext) -> Result<(), SpecError> {
             let campaign = Campaign::new(cfg);
             eprintln!("[ablation] {model} on {net_name} …");
             let session = ctx.campaign_session("ablation_fault_models", &net, campaign.config());
-            let res = campaign.run_cached(&mut net, &session, eval.suffix_eval());
+            let res = campaign.run(&net, ftclip_tensor::num_threads(), &session, eval.suffix_eval());
             let means = res.mean_accuracies();
             for (i, &rate) in res.fault_rates.iter().enumerate() {
                 table.row([model.to_string().into(), net_name.into(), rate.into(), means[i].into()]);
@@ -170,7 +170,7 @@ pub fn bias_faults(ctx: &mut RunContext) -> Result<(), SpecError> {
     );
     for target in targets {
         for (name, base) in [("unprotected", &workload.model.network), ("clipped", &hardened)] {
-            let mut net = base.clone();
+            let net = base.clone();
             let mut cfg = ctx
                 .spec
                 .campaign_config_with_scale(workload.rate_scale())
@@ -178,7 +178,7 @@ pub fn bias_faults(ctx: &mut RunContext) -> Result<(), SpecError> {
             cfg.target = target;
             let campaign = Campaign::new(cfg);
             let session = ctx.campaign_session("ablation_bias_faults", &net, campaign.config());
-            let res = campaign.run_cached(&mut net, &session, eval.suffix_eval());
+            let res = campaign.run(&net, ftclip_tensor::num_threads(), &session, eval.suffix_eval());
             let means = res.mean_accuracies();
             outln!(
                 ctx,
@@ -236,7 +236,7 @@ pub fn hw_baselines(ctx: &mut RunContext) -> Result<(), SpecError> {
         },
     ];
 
-    // memory-size-scaled paper grid (DESIGN.md §3); its top end is high
+    // memory-size-scaled paper grid (see docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset); its top end is high
     // enough that the ECC knee (double faults per word) becomes visible
     let rates = ctx.spec.rates.resolve(workload.rate_scale());
     let reps = ctx.spec.repetitions;
@@ -359,9 +359,9 @@ pub fn leaky_clip(ctx: &mut RunContext) -> Result<(), SpecError> {
     let campaign = Campaign::new(cfg);
     eprintln!("[ablation] campaigns …");
     let unprot_session = ctx.campaign_session("ablation_leaky_clip", &net, campaign.config());
-    let unprotected = campaign.run_cached(&mut net, &unprot_session, eval.suffix_eval());
+    let unprotected = campaign.run(&net, ftclip_tensor::num_threads(), &unprot_session, eval.suffix_eval());
     let prot_session = ctx.campaign_session("ablation_leaky_clip", &clipped, campaign.config());
-    let protected = campaign.run_cached(&mut clipped, &prot_session, eval.suffix_eval());
+    let protected = campaign.run(&clipped, ftclip_tensor::num_threads(), &prot_session, eval.suffix_eval());
 
     outln!(ctx, "Ablation — clipped Leaky-ReLU (slope 0.01, thresholds = ACT_max)\n");
     outln!(ctx, "clean accuracy: {:.4}\n", unprotected.clean_accuracy);

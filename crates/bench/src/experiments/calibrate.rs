@@ -4,7 +4,8 @@
 //! dataset can be pinned to the paper's baseline band (AlexNet 72.8 %,
 //! VGG-16 82.8 %).
 //!
-//! Not a paper figure — a reproducibility tool (results feed DESIGN.md §3).
+//! Not a paper figure — a reproducibility tool (its pick is the `DataSpec`
+//! default; see `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`).
 
 use ftclip_core::ResultTable;
 use ftclip_data::SynthCifar;

@@ -12,13 +12,13 @@ use ftclip_core::{
 use ftclip_fault::{BitPosition, Campaign, CampaignResult, FaultModel, Injection, InjectionTarget};
 use ftclip_models::{model_size_report, ZooArch};
 use ftclip_nn::{Activation, Layer, Sequential};
-use ftclip_quant::{Precision, QuantCampaign, QuantizedPlan};
+use ftclip_quant::{Precision, QuantizedPlan};
 use ftclip_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::experiments::resilience::{evaluate_resilience, print_panels, shape_checks};
-use crate::experiments::{outln, RunContext};
+use crate::experiments::{outln, RunContext, RATE_SCALING_DOC};
 use crate::pipeline::{experiment_methodology, harden_network, tuning_auc_config};
 use crate::spec::{Protection, SpecError};
 use crate::tables::campaign_summary_table;
@@ -165,18 +165,16 @@ pub fn campaign_summary(ctx: &mut RunContext) -> Result<(), SpecError> {
             // cell's earliest fault, reusing memoized clean prefix
             // activations — bit-identical to the full-forward closure it
             // replaces
-            Campaign::new(cfg).run_parallel_cached(&net, &session, eval.suffix_eval())
+            Campaign::new(cfg).run(&net, ftclip_tensor::num_threads(), &session, eval.suffix_eval())
         }
         Precision::Int8 => {
-            let mut plan = quantized_twin(ctx, &workload, &net);
+            let plan = quantized_twin(ctx, &workload, &net);
             let session =
                 ctx.campaign_session_with_precision("campaign-summary", &net, &cfg, Precision::Int8);
             let batch = ctx.spec.eval_batch;
-            QuantCampaign::new(&mut plan, &cfg)
-                .map_err(SpecError::Campaign)?
-                .run_cached(&session, &mut |p: &QuantizedPlan| {
-                    p.accuracy(eval.images(), eval.labels(), batch)
-                })
+            Campaign::new(cfg).run(&plan, ftclip_tensor::num_threads(), &session, |p: &QuantizedPlan| {
+                p.accuracy(eval.images(), eval.labels(), batch)
+            })
         }
     };
 
@@ -190,7 +188,7 @@ pub fn campaign_summary(ctx: &mut RunContext) -> Result<(), SpecError> {
     );
     outln!(
         ctx,
-        "(paper rates mapped ×{:.1} for the width-scaled memory, DESIGN.md §3)\n",
+        "(paper rates mapped ×{:.1} for the width-scaled memory, see {RATE_SCALING_DOC})\n",
         workload.rate_scale()
     );
     outln!(ctx, "baseline (clean) accuracy: {:.4}\n", result.clean_accuracy);
@@ -304,7 +302,7 @@ pub fn bit_position_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     let workload = ctx.workload();
     let net = apply_protection(ctx, &workload, ctx.spec.protection);
     let eval = ctx.eval_set(workload.data.test());
-    let mut plan = quantized_twin(ctx, &workload, &net);
+    let plan = quantized_twin(ctx, &workload, &net);
 
     let mut cfg = ctx
         .spec
@@ -343,7 +341,7 @@ pub fn bit_position_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
         scfg.model = FaultModel::BitFlipAt(pos);
         eprintln!("[{}] f32 {pos} stratum: {} rates × {} reps", ctx.spec.name, rates.len(), scfg.repetitions);
         let session = ctx.campaign_session(&format!("bitpos-f32-{pos}"), &net, &scfg);
-        let result = Campaign::new(scfg).run_parallel_cached(&net, &session, suffix.clone());
+        let result = Campaign::new(scfg).run(&net, ftclip_tensor::num_threads(), &session, suffix.clone());
         let means = bitpos_rows(ctx, &mut table, Precision::F32, pos, &rates, &result)?;
         curves.push((Precision::F32, pos, means, result.clean_accuracy));
     }
@@ -358,9 +356,10 @@ pub fn bit_position_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
         );
         let session =
             ctx.campaign_session_with_precision(&format!("bitpos-int8-{pos}"), &net, &scfg, Precision::Int8);
-        let result = QuantCampaign::new(&mut plan, &scfg)
-            .map_err(SpecError::Campaign)?
-            .run_cached(&session, &mut |p: &QuantizedPlan| p.accuracy(eval.images(), eval.labels(), batch));
+        let result =
+            Campaign::new(scfg).run(&plan, ftclip_tensor::num_threads(), &session, |p: &QuantizedPlan| {
+                p.accuracy(eval.images(), eval.labels(), batch)
+            });
         let means = bitpos_rows(ctx, &mut table, Precision::Int8, pos, &rates, &result)?;
         curves.push((Precision::Int8, pos, means, result.clean_accuracy));
     }
@@ -442,7 +441,7 @@ pub fn per_layer_resilience(ctx: &mut RunContext) -> Result<(), SpecError> {
         cfg.target = InjectionTarget::Layer(layer_index);
         eprintln!("[fig3] {layer_name}: {} rates × {} reps", cfg.fault_rates.len(), cfg.repetitions);
         let session = ctx.campaign_session("fig3_per_layer", &net, &cfg);
-        let result = Campaign::new(cfg).run_parallel_cached(&net, &session, suffix.clone());
+        let result = Campaign::new(cfg).run(&net, ftclip_tensor::num_threads(), &session, suffix.clone());
         outln!(ctx, "\n{layer_name} (network layer {layer_index}):");
         outln!(ctx, "{:<12} {:>10} {:>10} {:>10}", "paper_rate", "mean_acc", "min_acc", "max_acc");
         for (i, s) in result.summaries().map_err(SpecError::Campaign)?.iter().enumerate() {

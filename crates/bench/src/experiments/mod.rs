@@ -23,6 +23,9 @@ use crate::settings::RunSettings;
 use crate::spec::{ExperimentSpec, Procedure, SpecError, WorkloadSpec};
 use crate::workload::{load_workload, spec_data, Workload};
 
+/// Where reports point readers for the paper-rate mapping.
+pub(crate) const RATE_SCALING_DOC: &str = "docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset";
+
 mod ablations;
 mod calibrate;
 mod figures;
@@ -131,7 +134,7 @@ impl CleanAccuracyMemo {
 }
 
 /// The campaign cache [`RunContext::campaign_session`] hands to the
-/// executors: the persistent on-disk cell store (when caching is enabled
+/// executor: the persistent on-disk cell store (when caching is enabled
 /// and writable) composed with the run-wide [`CleanAccuracyMemo`].
 ///
 /// Cells go straight through to the store. Clean accuracy consults the
@@ -441,8 +444,8 @@ mod tests {
             stopping: None,
         };
         let evals = AtomicUsize::new(0);
-        let mut net = ftclip_nn::Sequential::new(vec![ftclip_nn::Layer::linear(4, 2, 0)]);
-        let result = Campaign::new(cfg).run_cached(&mut net, &cache, |_: &Sequential| {
+        let net = ftclip_nn::Sequential::new(vec![ftclip_nn::Layer::linear(4, 2, 0)]);
+        let result = Campaign::new(cfg).run(&net, 1, &cache, |_: &Sequential| {
             evals.fetch_add(1, Ordering::Relaxed);
             0.25
         });

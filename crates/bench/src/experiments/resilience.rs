@@ -11,7 +11,7 @@
 use ftclip_core::Comparison;
 use ftclip_fault::{Campaign, CampaignResult};
 
-use crate::experiments::{outln, RunContext};
+use crate::experiments::{outln, RunContext, RATE_SCALING_DOC};
 use crate::pipeline::harden_network;
 use crate::spec::SpecError;
 use crate::tables::{resilience_box_table, resilience_mean_table};
@@ -77,12 +77,17 @@ pub fn evaluate_resilience(
     // network: the clipped and unprotected twins have different clean
     // activations, so their caches must never mix
     let protected_session = ctx.campaign_session("resilience", &protected_net, campaign.config());
-    let protected = campaign.run_parallel_cached(&protected_net, &protected_session, eval.suffix_eval());
+    let protected =
+        campaign.run(&protected_net, ftclip_tensor::num_threads(), &protected_session, eval.suffix_eval());
     eprintln!("[resilience] protected done, running unprotected …");
     let unprotected_net = workload.model.network.clone();
     let unprotected_session = ctx.campaign_session("resilience", &unprotected_net, campaign.config());
-    let unprotected =
-        campaign.run_parallel_cached(&unprotected_net, &unprotected_session, eval.suffix_eval());
+    let unprotected = campaign.run(
+        &unprotected_net,
+        ftclip_tensor::num_threads(),
+        &unprotected_session,
+        eval.suffix_eval(),
+    );
 
     let comparison = Comparison::new(&protected, &unprotected);
     Ok(ResilienceEvaluation {
@@ -107,7 +112,7 @@ pub fn print_panels(ctx: &mut RunContext, eval: &ResilienceEvaluation, stem: &st
     outln!(ctx, "(a) mean accuracy vs fault rate — clipped vs unprotected");
     outln!(
         ctx,
-        "    (paper rates mapped ×{:.1} for the width-scaled memory, see DESIGN.md §3)\n",
+        "    (paper rates mapped ×{:.1} for the width-scaled memory, see {RATE_SCALING_DOC})\n",
         eval.rate_scale
     );
     outln!(

@@ -7,7 +7,7 @@ use ftclip_nn::Sequential;
 
 /// The tuning-time AUC campaign used by the figure binaries: a reduced grid
 /// (threshold search needs relative comparisons, not publication-grade error
-/// bars) per DESIGN.md §3.
+/// bars); see `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`.
 pub fn tuning_auc_config(seed: u64, rate_scale: f64) -> AucConfig {
     AucConfig {
         fault_rates: vec![1e-7, 1e-6, 1e-5]

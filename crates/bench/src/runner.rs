@@ -142,7 +142,7 @@ impl Runner {
     /// [`Runner::run_batch`] with an explicit thread budget
     /// (`FTCLIP_THREADS` is process-global and cached, so tests comparing
     /// thread counts inside one process use this entry point — the same
-    /// convention as `Campaign::run_parallel_with_threads`).
+    /// convention as the `threads` argument of `Campaign::run`).
     ///
     /// # Errors
     ///

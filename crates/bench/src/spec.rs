@@ -364,7 +364,8 @@ impl FromStr for Protection {
 }
 
 /// The synthetic dataset settings (sizes and difficulty knobs). Defaults
-/// reproduce the calibrated experiment dataset of DESIGN.md §3.
+/// reproduce the calibrated experiment dataset of
+/// `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataSpec {
     /// Training-split size.
@@ -407,7 +408,8 @@ impl DataSpec {
 
 /// The trained-model workload: architecture plus training hyper-parameters.
 /// Defaults per architecture match the experiment-scale models of
-/// DESIGN.md §3 (the zoo caches by all of these fields, so changing any
+/// `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset` (the zoo caches by all of these
+/// fields, so changing any
 /// retrains rather than reusing a stale network).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {

@@ -66,7 +66,8 @@ pub fn spec_data(spec: &ExperimentSpec) -> SynthCifar {
 pub(crate) fn arch_profile(arch: ZooArch) -> (&'static str, usize) {
     match arch {
         ZooArch::AlexNet => ("AlexNet", ftclip_models::alexnet_cifar(1.0, 10, 0).param_count()),
-        // the BN variant is the trainable stand-in for VGG-16 (DESIGN.md §3);
+        // the BN variant is the trainable stand-in for VGG-16 (see
+        // docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset);
         // both map rates through the plain full-width VGG-16 memory
         ZooArch::Vgg16 | ZooArch::Vgg16Bn => ("VGG-16", ftclip_models::vgg16_cifar(1.0, 10, 0).param_count()),
         ZooArch::LeNet5 => ("LeNet-5", ftclip_models::lenet5(10, 0).param_count()),

@@ -5,7 +5,7 @@
 //! rule, normalizing both axes so a network that held 100 % accuracy at
 //! every considered rate scores exactly 1.
 
-use ftclip_fault::{Campaign, CampaignConfig, CampaignResult, FaultModel, InjectionTarget};
+use ftclip_fault::{Campaign, CampaignConfig, CampaignResult, FaultModel, InjectionTarget, NoCache};
 use ftclip_nn::Sequential;
 
 use crate::EvalSet;
@@ -104,11 +104,12 @@ impl AucConfig {
     /// the curve itself is needed, e.g. Fig. 5a).
     ///
     /// Tuning measures AUC hundreds of times, so the campaign grid fans out
-    /// over worker threads ([`Campaign::run_parallel`]) and cells evaluate
+    /// over worker threads ([`Campaign::run`] at
+    /// [`ftclip_tensor::num_threads`]) and cells evaluate
     /// through the suffix engine ([`EvalSet::suffix_eval`]): per-layer
     /// tuning targets re-execute only the layers below the fault, reusing
-    /// memoized clean prefix activations. Results are bit-identical to the
-    /// serial, full-forward executor at any `FTCLIP_THREADS`. The prefix
+    /// memoized clean prefix activations. Results are bit-identical to a
+    /// single-threaded, full-forward run at any `FTCLIP_THREADS`. The prefix
     /// cache lives for one campaign — the tuner mutates thresholds between
     /// measurements, so activations never carry across network states.
     pub fn run_campaign(&self, net: &mut Sequential, eval: &EvalSet) -> CampaignResult {
@@ -120,7 +121,7 @@ impl AucConfig {
             target: self.target,
             stopping: None,
         };
-        Campaign::new(cfg).run_parallel(net, eval.suffix_eval())
+        Campaign::new(cfg).run(net, ftclip_tensor::num_threads(), &NoCache, eval.suffix_eval())
     }
 }
 

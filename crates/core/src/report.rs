@@ -132,11 +132,11 @@ impl Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget};
+    use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, NoCache};
     use ftclip_nn::{Layer, Sequential};
 
     fn result_with_evals(seed: u64, degrade: f64) -> CampaignResult {
-        let mut net = Sequential::new(vec![Layer::linear(4, 2, seed)]);
+        let net = Sequential::new(vec![Layer::linear(4, 2, seed)]);
         let cfg = CampaignConfig {
             fault_rates: vec![1e-4, 1e-3],
             repetitions: 2,
@@ -146,7 +146,7 @@ mod tests {
             stopping: None,
         };
         let call = std::sync::atomic::AtomicUsize::new(0);
-        Campaign::new(cfg).run(&mut net, move |_: &Sequential| {
+        Campaign::new(cfg).run(&net, 1, &NoCache, move |_: &Sequential| {
             let call = call.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
             (1.0 - degrade * call as f64 / 10.0).max(0.0)
         })

@@ -1,7 +1,8 @@
 //! Dataset substrate for the FT-ClipAct reproduction.
 //!
 //! The paper evaluates on CIFAR-10. This environment has no dataset access,
-//! so the crate provides two interchangeable sources (see DESIGN.md §3):
+//! so the crate provides two interchangeable sources (see
+//! `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`):
 //!
 //! * [`SynthCifar`] — a **deterministic synthetic generator** of CIFAR-shaped
 //!   (32×32×3, 10-class) images used by all experiments. Classes are defined

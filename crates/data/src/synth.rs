@@ -1,6 +1,6 @@
 //! Deterministic synthetic CIFAR-class image generator.
 //!
-//! **Substitution note (DESIGN.md §3).** The paper trains on CIFAR-10, which
+//! **Substitution note** (`docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`). The paper trains on CIFAR-10, which
 //! is not available in this environment. `SynthCifar` generates a 10-class,
 //! 32×32×3 image-classification task with the properties the FT-ClipAct
 //! experiments actually depend on:
@@ -294,7 +294,8 @@ impl SynthCifarBuilder {
     /// base pattern (`0`: all classes identical) and fully independent
     /// patterns (`1`). Lower values make classes genuinely confusable, the
     /// property that puts trained baselines in the paper's 70–85 % band
-    /// (calibrated in DESIGN.md §3 via the `calibrate_dataset` tool).
+    /// (calibrated with the `calibrate` preset; see
+    /// `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`).
     pub fn class_sep(mut self, class_sep: f32) -> Self {
         self.class_sep = class_sep;
         self

@@ -1,21 +1,20 @@
 //! Fault-injection campaigns: rates × repetitions with derived seeds.
 //!
 //! The `(rate × repetition)` grid is embarrassingly parallel — every cell
-//! derives its own RNG from [`derive_seed`] and leaves the network exactly
-//! as it found it — so [`Campaign::run_parallel`] fans the grid out over
-//! scoped worker threads (honoring `FTCLIP_THREADS` via
-//! [`ftclip_tensor::num_threads`]) with results bit-identical to the serial
-//! [`Campaign::run`] at any thread count.
+//! derives its own RNG from [`derive_seed`] and leaves the substrate exactly
+//! as it found it — so [`Campaign::run`] fans the grid out over scoped
+//! worker threads with results bit-identical at any thread count. One
+//! executor serves every [`FaultSubstrate`]: the f32 [`Sequential`] here and
+//! the int8 plan of `ftclip_quant`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use ftclip_nn::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::progress::{current_observer, CampaignObserver, CancelledCampaign};
-use crate::{derive_seed, FaultModel, Injection, InjectionTarget, Summary};
+use crate::{derive_seed, AppliedInjection, FaultModel, Injection, InjectionTarget, Summary};
 
 /// Configuration of a fault-injection campaign.
 ///
@@ -34,7 +33,7 @@ pub struct CampaignConfig {
     pub model: FaultModel,
     /// Which parameter memories are corrupted.
     pub target: InjectionTarget,
-    /// Sequential-sampling mode: when set, the executors schedule
+    /// Sequential-sampling mode: when set, the executor schedules
     /// repetitions in deterministic waves and stop each rate as soon as its
     /// accuracy confidence interval is tighter than the rule's target (see
     /// [`StoppingRule`]). `None` runs the classic fixed grid of
@@ -92,13 +91,13 @@ const STOPPING_RESAMPLES: usize = 200;
 /// Confidence level of the stopping interval (95%).
 const STOPPING_CONFIDENCE: f64 = 0.95;
 /// Fixed resampler seed: the interval must be a pure function of the
-/// samples so serial and parallel executors reach identical decisions.
+/// samples so runs at any thread count reach identical decisions.
 const STOPPING_BOOT_SEED: u64 = 0x5eed_c1a0_b007_57a9;
 
 /// Sequential-sampling stopping rule for adaptive campaigns.
 ///
-/// With a rule installed on [`CampaignConfig::stopping`], the executors
-/// schedule repetitions in deterministic waves: every still-active rate
+/// With a rule installed on [`CampaignConfig::stopping`], the executor
+/// schedules repetitions in deterministic waves: every still-active rate
 /// first runs `min_reps` repetitions, then the wave size doubles
 /// (`min_reps`, `2·min_reps`, `4·min_reps`, …) until the rate's 95%
 /// bootstrap confidence interval over its accuracy samples has a
@@ -275,43 +274,105 @@ impl SuffixHint {
     }
 }
 
-/// The campaign evaluation contract: scores a (possibly faulted) network,
+/// The campaign evaluation contract: scores a (possibly faulted) substrate,
 /// optionally exploiting the [`SuffixHint`] describing its clean prefix.
 ///
-/// Every plain `Fn(&Sequential) -> f64 + Sync` closure implements this
-/// trait (ignoring the hint), so the historical
-/// `campaign.run(&mut net, |n| eval.accuracy(n))` call shape keeps working
-/// unchanged. Hint-aware implementations (e.g. `ftclip_core`'s
+/// Every plain `Fn(&S) -> f64 + Sync` closure implements this trait
+/// (ignoring the hint): `|n: &Sequential| eval.accuracy(n)` for f32
+/// campaigns, `|p: &QuantizedPlan| p.accuracy(images, labels, batch)` for
+/// int8 ones. Hint-aware implementations (e.g. `ftclip_core`'s
 /// suffix-accuracy evaluator over a prefix-activation cache) must return
 /// **bit-identical** accuracies whether or not they use the hint — the
-/// campaign executors treat the two paths as interchangeable.
+/// executor treats the two paths as interchangeable.
 ///
-/// `Sync` is required because the parallel executors share one evaluator
-/// across worker threads.
-pub trait CellEval: Sync {
+/// `Sync` is required because the executor shares one evaluator across
+/// worker threads.
+pub trait CellEval<S = Sequential>: Sync {
     /// Evaluates `net`. `hint` describes the clean prefix of the current
     /// cell (see [`SuffixHint`]).
-    fn eval_cell(&self, net: &Sequential, hint: SuffixHint) -> f64;
+    fn eval_cell(&self, net: &S, hint: SuffixHint) -> f64;
 }
 
-impl<F: Fn(&Sequential) -> f64 + Sync> CellEval for F {
-    fn eval_cell(&self, net: &Sequential, _hint: SuffixHint) -> f64 {
+impl<S, F: Fn(&S) -> f64 + Sync> CellEval<S> for F {
+    fn eval_cell(&self, net: &S, _hint: SuffixHint) -> f64 {
         self(net)
+    }
+}
+
+/// The memory a campaign corrupts, seen through the four steps of a cell:
+/// sample a fault set, read its size and clean-prefix hint, apply it, undo
+/// it.
+///
+/// [`Sequential`] implements it over its f32 parameter words (through
+/// [`Injection`]); `ftclip_quant`'s `QuantizedPlan` over its int8 weight
+/// bytes. [`Campaign::run`] is generic over it, so both precisions share one
+/// executor — seeds, cache protocol, fan-out, adaptive waves, progress and
+/// cancellation. `Clone` gives every worker its own copy to corrupt; `Sync`
+/// lets the workers share the clean original.
+pub trait FaultSubstrate: Clone + Sync {
+    /// A sampled fault set.
+    type Faults;
+    /// Proof of an applied fault set, consumed by
+    /// [`FaultSubstrate::undo_faults`].
+    type Applied;
+
+    /// Samples one cell's fault set at per-bit probability `rate` under
+    /// `config`'s fault model and target.
+    fn sample_faults(&self, config: &CampaignConfig, rate: f64, rng: &mut StdRng) -> Self::Faults;
+
+    /// Number of faults in `faults` (zero-fault cells reuse the clean
+    /// accuracy without evaluating).
+    fn fault_count(faults: &Self::Faults) -> usize;
+
+    /// The clean prefix `faults` leave, handed to the evaluator.
+    fn suffix_hint(faults: &Self::Faults) -> SuffixHint;
+
+    /// Applies `faults`.
+    fn apply_faults(&mut self, faults: &Self::Faults) -> Self::Applied;
+
+    /// Restores the exact pre-[`FaultSubstrate::apply_faults`] state.
+    fn undo_faults(&mut self, applied: Self::Applied);
+}
+
+impl FaultSubstrate for Sequential {
+    type Faults = Injection;
+    type Applied = AppliedInjection;
+
+    fn sample_faults(&self, config: &CampaignConfig, rate: f64, rng: &mut StdRng) -> Injection {
+        Injection::sample(self, config.target, config.model, rate, rng)
+    }
+
+    fn fault_count(faults: &Injection) -> usize {
+        faults.fault_count()
+    }
+
+    /// Activations before the earliest faulted layer are bit-identical to
+    /// the clean run.
+    fn suffix_hint(faults: &Injection) -> SuffixHint {
+        SuffixHint { cut: faults.earliest_faulted_layer() }
+    }
+
+    fn apply_faults(&mut self, faults: &Injection) -> AppliedInjection {
+        faults.apply(self)
+    }
+
+    fn undo_faults(&mut self, applied: AppliedInjection) {
+        applied.undo(self);
     }
 }
 
 /// A lookup/record interface for per-cell campaign results, implemented by
 /// persistent stores (see the `ftclip_store` crate) and by [`NoCache`].
 ///
-/// The executors consult the cache before evaluating a cell and record every
+/// The executor consults the cache before evaluating a cell and records every
 /// freshly computed cell afterwards. Because each cell's result is a pure
 /// function of `(config, rate_index, repetition)` — the RNG is derived per
 /// cell and evaluation is deterministic — replaying a cached [`RunRecord`]
 /// is bit-identical to recomputing it, which is the property that makes
 /// resumed campaigns indistinguishable from fresh ones.
 ///
-/// Implementations must tolerate concurrent calls from the parallel
-/// executor's workers (hence the `Sync` bound).
+/// Implementations must tolerate concurrent calls from the executor's
+/// workers (hence the `Sync` bound).
 pub trait CampaignCache: Sync {
     /// Returns the cached cell, or `None` if it has not been computed yet.
     fn lookup(&self, rate_index: usize, repetition: usize) -> Option<RunRecord>;
@@ -328,26 +389,13 @@ pub trait CampaignCache: Sync {
     fn record_clean(&self, _accuracy: f64) {}
 }
 
-/// The null cache: every lookup misses, every record is dropped. Running a
-/// campaign against it is exactly the historical uncached behaviour.
+/// The null cache: every lookup misses, every record is dropped.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoCache;
 
 impl CampaignCache for NoCache {
     fn lookup(&self, _rate_index: usize, _repetition: usize) -> Option<RunRecord> {
         None
-    }
-}
-
-static NO_CACHE: NoCache = NoCache;
-
-/// Borrows `session` as a [`CampaignCache`], falling back to [`NoCache`]
-/// when it is `None` — the one-liner figure binaries use to make caching
-/// optional (`FTCLIP_CACHE=off`).
-pub fn cache_of<C: CampaignCache>(session: &Option<C>) -> &dyn CampaignCache {
-    match session {
-        Some(cache) => cache,
-        None => &NO_CACHE,
     }
 }
 
@@ -430,10 +478,10 @@ impl CampaignResult {
 /// # Example
 ///
 /// ```
-/// use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget};
+/// use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, NoCache};
 /// use ftclip_nn::{Layer, Scratch, Sequential, Span};
 ///
-/// let mut net = Sequential::new(vec![Layer::linear(4, 2, 0)]);
+/// let net = Sequential::new(vec![Layer::linear(4, 2, 0)]);
 /// let cfg = CampaignConfig {
 ///     fault_rates: vec![1e-3, 1e-2],
 ///     repetitions: 3,
@@ -443,7 +491,7 @@ impl CampaignResult {
 ///     stopping: None,
 /// };
 /// // toy evaluation: fraction of finite outputs
-/// let result = Campaign::new(cfg).run(&mut net, |n: &Sequential| {
+/// let result = Campaign::new(cfg).run(&net, 2, &NoCache, |n: &Sequential| {
 ///     let y = n.execute(&ftclip_tensor::Tensor::ones(&[1, 4]), Span::full(), &mut Scratch::new());
 ///     y.iter().filter(|v| v.is_finite()).count() as f64 / y.len() as f64
 /// });
@@ -483,87 +531,85 @@ impl Campaign {
         &self.config
     }
 
-    /// Runs the full campaign: for every `(rate, repetition)` cell, inject →
-    /// evaluate → restore. The network is returned to its original state.
+    /// Runs the campaign over `net`: for every `(rate, repetition)` cell,
+    /// inject → evaluate → restore, fanned out over up to `threads` worker
+    /// threads. `net` itself is never mutated — each worker corrupts its own
+    /// clone.
     ///
-    /// Runs whose sampled fault set is empty (common at the low end of the
-    /// paper's rate grid) reuse the clean accuracy instead of re-evaluating:
-    /// evaluation is deterministic, so the result is identical and the
-    /// campaign cost drops substantially. Faulted cells hand the evaluator a
-    /// [`SuffixHint`] naming the injection's earliest faulted layer, letting
-    /// hint-aware evaluators skip the clean prefix of the forward pass.
-    pub fn run(&self, net: &mut Sequential, eval: impl CellEval) -> CampaignResult {
-        self.run_cached(net, &NoCache, eval)
-    }
-
-    /// [`Campaign::run`] against a persistent cell cache: cells found in
-    /// `cache` are replayed bit-identically without evaluation, fresh cells
-    /// are recorded as they complete, and the merged result is bit-identical
-    /// to an uncached run regardless of how the cells split between cache
-    /// hits and fresh computation.
+    /// * **Determinism.** Cell `(i, rep)` seeds its RNG with
+    ///   [`derive_seed`]`(seed, i, rep)` and evaluation is deterministic, so
+    ///   the result is **bit-identical** at any thread count and any cache
+    ///   state (empty, partial or complete); `runs` come back rate-major.
+    /// * **Cache.** Cells found in `cache` replay without evaluation; fresh
+    ///   cells are recorded as they complete. Pass [`NoCache`] to compute
+    ///   everything.
+    /// * **Zero-fault cells** reuse the clean accuracy instead of
+    ///   re-evaluating; faulted cells hand the evaluator the fault set's
+    ///   [`SuffixHint`].
+    /// * **Threads.** Workers pull cells from one shared queue and run
+    ///   under [`ftclip_tensor::with_thread_limit`] with their share of the
+    ///   budget: 1 when the grid has at least `threads` cells, otherwise
+    ///   `threads / workers` (the first workers take the remainder), which
+    ///   batch-sharded evaluation turns into batch-level parallelism. A
+    ///   single worker runs on the calling thread under the whole budget.
+    ///   `FTCLIP_THREADS` is read once per process; pass
+    ///   [`ftclip_tensor::num_threads`] to honor it.
+    /// * **Adaptive.** With [`CampaignConfig::stopping`] set, the grid runs
+    ///   in deterministic waves (see [`StoppingRule`]), each fanned out the
+    ///   same way, and the result carries a convergence report.
+    /// * **Progress.** The calling thread's [`CampaignObserver`] (see
+    ///   [`crate::with_observer`]) hears the clean accuracy once, every cell
+    ///   and every retired rate, and is polled for cancellation at each cell
+    ///   boundary.
     ///
-    /// Progress (and cancellation) flows through the calling thread's
-    /// [`CampaignObserver`], if one is installed — see
-    /// [`crate::with_observer`].
-    pub fn run_cached(
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`, a worker panics (its payload is re-raised,
+    /// so a [`CancelledCampaign`] unwind stays downcastable), or the cache
+    /// returns a cell labeled with the wrong `(rate_index, repetition)`.
+    pub fn run<S: FaultSubstrate>(
         &self,
-        net: &mut Sequential,
+        net: &S,
+        threads: usize,
         cache: &dyn CampaignCache,
-        eval: impl CellEval,
+        eval: impl CellEval<S>,
     ) -> CampaignResult {
+        assert!(threads > 0, "campaign needs at least one worker thread");
+        // captured on the calling thread: workers have fresh thread-locals
         let observer = current_observer();
         let observer = observer.as_deref();
         let clean_accuracy = cache.clean_accuracy().unwrap_or_else(|| {
-            let clean = eval.eval_cell(net, SuffixHint::full());
+            let clean = ftclip_tensor::with_thread_limit(threads, || eval.eval_cell(net, SuffixHint::full()));
             cache.record_clean(clean);
             clean
         });
         if let Some(obs) = observer {
             obs.on_clean(clean_accuracy);
         }
-        if let Some(rule) = self.config.stopping {
-            return self.run_adaptive(rule, clean_accuracy, observer, |cells: &[(usize, usize)]| {
-                cells
-                    .iter()
-                    .map(|&(i, rep)| {
-                        self.cell(
-                            net,
-                            i,
-                            self.config.fault_rates[i],
-                            rep,
-                            clean_accuracy,
-                            cache,
-                            &eval,
-                            observer,
-                        )
-                    })
-                    .collect()
-            });
-        }
-        let mut accuracies = Vec::with_capacity(self.config.fault_rates.len());
-        let mut runs = Vec::new();
-        for (i, &rate) in self.config.fault_rates.iter().enumerate() {
-            let mut per_rate = Vec::with_capacity(self.config.repetitions);
-            for rep in 0..self.config.repetitions {
-                let record = self.cell(net, i, rate, rep, clean_accuracy, cache, &eval, observer);
-                per_rate.push(record.accuracy);
-                runs.push(record);
+        let cells = Cells { campaign: self, clean_accuracy, cache, eval: &eval, observer };
+        let run_wave = |wave: &[(usize, usize)]| cells.fan_out(net, threads, wave);
+        let (runs, convergence) = match self.config.stopping {
+            Some(rule) => {
+                let (runs, convergence) = self.run_adaptive(rule, observer, run_wave);
+                (runs, Some(convergence))
             }
-            accuracies.push(per_rate);
-        }
-        CampaignResult {
-            fault_rates: self.config.fault_rates.clone(),
-            accuracies,
-            runs,
-            clean_accuracy,
-            convergence: None,
-        }
+            // the fixed grid is one wave of every cell, rate-major
+            None => {
+                let reps = self.config.repetitions;
+                let grid: Vec<(usize, usize)> = (0..self.config.fault_rates.len())
+                    .flat_map(|i| (0..reps).map(move |rep| (i, rep)))
+                    .collect();
+                (run_wave(&grid), None)
+            }
+        };
+        self.result(runs, clean_accuracy, convergence)
     }
 
-    /// The shared adaptive scheduler: runs deterministic waves through
-    /// `run_wave` (a serial loop or a parallel fan-out — the stopping
-    /// decisions cannot tell, because they depend only on the per-rate
-    /// accuracy prefixes, which are bit-identical either way).
+    /// The adaptive wave scheduler: runs deterministic waves through
+    /// `run_wave` and returns every sampled cell with the per-rate
+    /// convergence report. The stopping decisions depend only on the
+    /// per-rate accuracy prefixes, which are bit-identical however a wave is
+    /// executed.
     ///
     /// Wave `k` extends every still-active rate to the rule's `k`-th
     /// boundary (`min_reps`, `2·min_reps`, …, `max_reps`); after the wave,
@@ -573,10 +619,9 @@ impl Campaign {
     fn run_adaptive(
         &self,
         rule: StoppingRule,
-        clean_accuracy: f64,
         observer: Option<&dyn CampaignObserver>,
-        mut run_wave: impl FnMut(&[(usize, usize)]) -> Vec<RunRecord>,
-    ) -> CampaignResult {
+        run_wave: impl Fn(&[(usize, usize)]) -> Vec<RunRecord>,
+    ) -> (Vec<RunRecord>, Vec<RateConvergence>) {
         let n_rates = self.config.fault_rates.len();
         let mut accuracies: Vec<Vec<f64>> = vec![Vec::new(); n_rates];
         let mut runs: Vec<RunRecord> = Vec::new();
@@ -584,7 +629,7 @@ impl Campaign {
         let mut active: Vec<bool> = vec![true; n_rates];
         for boundary in rule.wave_boundaries() {
             // the wave's cell list is rate-major and derived only from the
-            // active set — identical in serial and parallel runs
+            // active set — identical at any thread count
             let cells: Vec<(usize, usize)> = (0..n_rates)
                 .filter(|&i| active[i])
                 .flat_map(|i| (accuracies[i].len()..boundary).map(move |rep| (i, rep)))
@@ -619,225 +664,77 @@ impl Campaign {
                 break;
             }
         }
-        runs.sort_by_key(|r| (r.rate_index, r.repetition));
         convergence.sort_by_key(|c| c.rate_index);
+        (runs, convergence)
+    }
+
+    /// Assembles the result: `runs` in rate-major order, and the per-rate
+    /// accuracy lists they imply.
+    fn result(
+        &self,
+        mut runs: Vec<RunRecord>,
+        clean_accuracy: f64,
+        convergence: Option<Vec<RateConvergence>>,
+    ) -> CampaignResult {
+        runs.sort_by_key(|r| (r.rate_index, r.repetition));
+        let mut accuracies = vec![Vec::new(); self.config.fault_rates.len()];
+        for r in &runs {
+            accuracies[r.rate_index].push(r.accuracy);
+        }
         CampaignResult {
             fault_rates: self.config.fault_rates.clone(),
             accuracies,
             runs,
             clean_accuracy,
-            convergence: Some(convergence),
+            convergence,
         }
     }
+}
 
-    /// Computes (or replays from `cache`) one `(rate, repetition)` cell.
-    /// The network is returned to its pre-call state.
-    ///
-    /// Cancellation is polled here — at the cell boundary, where the
-    /// network is clean and no locks are held — so an unwinding cancel
-    /// never leaves shared state poisoned.
-    fn cell(
-        &self,
-        net: &mut Sequential,
-        i: usize,
-        rate: f64,
-        rep: usize,
-        clean_accuracy: f64,
-        cache: &dyn CampaignCache,
-        eval: &dyn CellEval,
-        observer: Option<&dyn CampaignObserver>,
-    ) -> RunRecord {
-        if let Some(obs) = observer {
-            if obs.cancel_requested() {
-                std::panic::panic_any(CancelledCampaign);
+/// What every cell of one [`Campaign::run`] shares.
+struct Cells<'a, S> {
+    campaign: &'a Campaign,
+    clean_accuracy: f64,
+    cache: &'a dyn CampaignCache,
+    eval: &'a dyn CellEval<S>,
+    observer: Option<&'a dyn CampaignObserver>,
+}
+
+impl<S: FaultSubstrate> Cells<'_, S> {
+    /// Runs `cells` over up to `threads` workers pulling from one atomic
+    /// queue, each on its own clone of `net` under its share of the thread
+    /// budget (see [`Campaign::run`]). Records come back in scheduling
+    /// order.
+    fn fan_out(&self, net: &S, threads: usize, cells: &[(usize, usize)]) -> Vec<RunRecord> {
+        let next_cell = AtomicUsize::new(0);
+        // one clone per worker serves every cell it pulls
+        let worker = || {
+            let mut local = net.clone();
+            let mut out = Vec::new();
+            while let Some(&cell) = cells.get(next_cell.fetch_add(1, Ordering::Relaxed)) {
+                out.push(self.cell(&mut local, cell));
             }
-        }
-        if let Some(record) = cache.lookup(i, rep) {
-            assert_eq!((record.rate_index, record.repetition), (i, rep), "cache returned a mislabeled cell");
-            if let Some(obs) = observer {
-                obs.on_cell(&record, true);
-            }
-            return record;
-        }
-        let mut rng = StdRng::seed_from_u64(derive_seed(self.config.seed, i, rep));
-        let injection = Injection::sample(net, self.config.target, self.config.model, rate, &mut rng);
-        let fault_count = injection.fault_count();
-        let accuracy = if fault_count == 0 {
-            clean_accuracy
-        } else {
-            // activations before the earliest faulted layer are bit-identical
-            // to the clean run — tell the evaluator how deep that prefix goes
-            let hint = SuffixHint { cut: injection.earliest_faulted_layer() };
-            let handle = injection.apply(net);
-            let accuracy = eval.eval_cell(net, hint);
-            handle.undo(net);
-            accuracy
+            out
         };
-        let record = RunRecord { rate_index: i, repetition: rep, fault_count, accuracy };
-        cache.record(&record);
-        if let Some(obs) = observer {
-            obs.on_cell(&record, false);
-        }
-        record
-    }
-
-    /// Runs the full campaign with the `(rate, repetition)` grid fanned out
-    /// over [`ftclip_tensor::num_threads`] worker threads.
-    ///
-    /// Results are **bit-identical** to [`Campaign::run`] at any thread
-    /// count: every cell derives its RNG from
-    /// [`derive_seed`]`(seed, rate_index, repetition)` independent of
-    /// execution order, evaluation is deterministic, and the merged
-    /// [`RunRecord`]s are emitted in the serial path's order. Unlike
-    /// [`Campaign::run`] the network is borrowed immutably — each worker
-    /// injects faults into its own clone. Workers share the evaluator
-    /// ([`CellEval`] is `Sync`), including any prefix-activation cache a
-    /// hint-aware evaluator carries.
-    pub fn run_parallel(&self, net: &Sequential, eval: impl CellEval) -> CampaignResult {
-        self.run_parallel_with_threads(net, ftclip_tensor::num_threads(), eval)
-    }
-
-    /// [`Campaign::run_parallel`] against a persistent cell cache — the
-    /// resumable entry point the figure binaries use. Cached cells are
-    /// replayed without evaluation; fresh cells are recorded as workers
-    /// complete them (recording order is scheduling-dependent, cell content
-    /// is not). The merged result is **bit-identical** to both the uncached
-    /// and the serial executor at any thread count and any cache state:
-    /// empty, partial, or complete.
-    pub fn run_parallel_cached(
-        &self,
-        net: &Sequential,
-        cache: &dyn CampaignCache,
-        eval: impl CellEval,
-    ) -> CampaignResult {
-        self.run_parallel_cached_with_threads(net, ftclip_tensor::num_threads(), cache, eval)
-    }
-
-    /// [`Campaign::run_parallel`] with an explicit worker-thread count
-    /// (`FTCLIP_THREADS` is process-global and cached, so tests comparing
-    /// thread counts inside one process use this entry point).
-    ///
-    /// Workers pull cells from a shared queue (dynamic scheduling: the
-    /// expensive high-rate cells spread across workers) and run their
-    /// evaluations under [`ftclip_tensor::with_thread_limit`] with their
-    /// share of the thread budget. When the grid has at least `threads`
-    /// cells that share is 1 — campaign-level fan-out alone saturates the
-    /// machine and the kernels underneath must not multiply the thread
-    /// count. When the grid is *smaller* than the budget (cells < threads)
-    /// each worker receives `threads / workers` threads, which the
-    /// batch-sharded evaluation inside `EvalSet::accuracy` turns into
-    /// batch-level parallelism — the adaptive composition that keeps small
-    /// grids from leaving cores idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or if a worker thread panics.
-    pub fn run_parallel_with_threads(
-        &self,
-        net: &Sequential,
-        threads: usize,
-        eval: impl CellEval,
-    ) -> CampaignResult {
-        self.run_parallel_cached_with_threads(net, threads, &NoCache, eval)
-    }
-
-    /// [`Campaign::run_parallel_cached`] with an explicit worker-thread
-    /// count (see [`Campaign::run_parallel_with_threads`] for why tests need
-    /// this entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`, a worker thread panics, or the cache
-    /// returns a cell labeled with the wrong `(rate_index, repetition)`.
-    pub fn run_parallel_cached_with_threads(
-        &self,
-        net: &Sequential,
-        threads: usize,
-        cache: &dyn CampaignCache,
-        eval: impl CellEval,
-    ) -> CampaignResult {
-        assert!(threads > 0, "campaign needs at least one worker thread");
-        if let Some(rule) = self.config.stopping {
-            // adaptive mode: the wave scheduler decides which cells exist;
-            // each wave fans out over the same worker machinery
-            let observer = current_observer();
-            let clean_accuracy = cache.clean_accuracy().unwrap_or_else(|| {
-                let clean =
-                    ftclip_tensor::with_thread_limit(threads, || eval.eval_cell(net, SuffixHint::full()));
-                cache.record_clean(clean);
-                clean
-            });
-            if let Some(obs) = &observer {
-                obs.on_clean(clean_accuracy);
-            }
-            return self.run_adaptive(rule, clean_accuracy, observer.as_deref(), |cells| {
-                self.run_cell_batch(net, threads, cells, clean_accuracy, cache, &eval, observer.as_deref())
-            });
-        }
-        let reps = self.config.repetitions;
-        let total = self.config.fault_rates.len() * reps;
-        let workers = threads.min(total);
-
+        let workers = threads.min(cells.len());
         if workers <= 1 {
-            // honor the explicit budget even without campaign fan-out: the
+            // honor the explicit budget even without fan-out: the
             // batch-sharded evaluation underneath must not exceed `threads`
-            // (an uncapped threads=1 baseline would silently parallelize)
-            let mut net = net.clone();
-            return ftclip_tensor::with_thread_limit(threads, || self.run_cached(&mut net, cache, eval));
-        }
-
-        // capture the calling thread's observer before fanning out: worker
-        // threads have fresh thread-locals, so the handle travels by Arc
-        let observer: Option<Arc<dyn CampaignObserver>> = current_observer();
-        let clean_accuracy = cache.clean_accuracy().unwrap_or_else(|| {
-            let clean = ftclip_tensor::with_thread_limit(threads, || eval.eval_cell(net, SuffixHint::full()));
-            cache.record_clean(clean);
-            clean
-        });
-        if let Some(obs) = &observer {
-            obs.on_clean(clean_accuracy);
+            return ftclip_tensor::with_thread_limit(threads, worker);
         }
         // leftover parallelism per worker when cells < threads; 1 otherwise
         // (the first `threads % workers` workers absorb the remainder so the
         // whole budget is used)
-        let inner = threads / workers;
-        let spare = threads % workers;
-        let next_cell = AtomicUsize::new(0);
-        let mut runs: Vec<RunRecord> = Vec::with_capacity(total);
+        let (inner, spare) = (threads / workers, threads % workers);
+        let worker = &worker;
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let next_cell = &next_cell;
-                let eval = &eval;
-                let observer = observer.clone();
-                let budget = (inner + usize::from(w < spare)).max(1);
-                handles.push(scope.spawn(move || {
-                    // one network clone per worker serves all its cells;
-                    // inner kernels share the leftover budget (method docs)
-                    ftclip_tensor::with_thread_limit(budget, || {
-                        let mut local = net.clone();
-                        let mut out = Vec::new();
-                        loop {
-                            let cell = next_cell.fetch_add(1, Ordering::Relaxed);
-                            if cell >= total {
-                                return out;
-                            }
-                            let (i, rep) = (cell / reps, cell % reps);
-                            let rate = self.config.fault_rates[i];
-                            out.push(self.cell(
-                                &mut local,
-                                i,
-                                rate,
-                                rep,
-                                clean_accuracy,
-                                cache,
-                                eval,
-                                observer.as_deref(),
-                            ));
-                        }
-                    })
-                }));
-            }
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let budget = (inner + usize::from(w < spare)).max(1);
+                    scope.spawn(move || ftclip_tensor::with_thread_limit(budget, worker))
+                })
+                .collect();
+            let mut runs = Vec::with_capacity(cells.len());
             for handle in handles {
                 match handle.join() {
                     Ok(worker_runs) => runs.extend(worker_runs),
@@ -847,100 +744,48 @@ impl Campaign {
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
-        });
-
-        // restore the serial path's (rate-major) execution order
-        runs.sort_by_key(|r| (r.rate_index, r.repetition));
-        let mut accuracies = vec![Vec::with_capacity(reps); self.config.fault_rates.len()];
-        for r in &runs {
-            accuracies[r.rate_index].push(r.accuracy);
-        }
-        CampaignResult {
-            fault_rates: self.config.fault_rates.clone(),
-            accuracies,
-            runs,
-            clean_accuracy,
-            convergence: None,
-        }
+            runs
+        })
     }
 
-    /// Fans one adaptive wave's explicit cell list out over up to `threads`
-    /// workers (the same queue/budget scheme as the fixed-grid executor);
-    /// single-worker waves run serially under the thread limit. Records are
-    /// returned in scheduling order — the wave scheduler sorts them.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cell_batch(
-        &self,
-        net: &Sequential,
-        threads: usize,
-        cells: &[(usize, usize)],
-        clean_accuracy: f64,
-        cache: &dyn CampaignCache,
-        eval: &dyn CellEval,
-        observer: Option<&dyn CampaignObserver>,
-    ) -> Vec<RunRecord> {
-        let workers = threads.min(cells.len());
-        if workers <= 1 {
-            let mut local = net.clone();
-            return ftclip_tensor::with_thread_limit(threads, || {
-                cells
-                    .iter()
-                    .map(|&(i, rep)| {
-                        self.cell(
-                            &mut local,
-                            i,
-                            self.config.fault_rates[i],
-                            rep,
-                            clean_accuracy,
-                            cache,
-                            eval,
-                            observer,
-                        )
-                    })
-                    .collect()
-            });
+    /// Computes (or replays from the cache) one `(rate, repetition)` cell.
+    /// `net` is returned to its pre-call state.
+    ///
+    /// Cancellation is polled here — at the cell boundary, where the
+    /// substrate is clean and no locks are held — so an unwinding cancel
+    /// never leaves shared state poisoned.
+    fn cell(&self, net: &mut S, (i, rep): (usize, usize)) -> RunRecord {
+        if let Some(obs) = self.observer {
+            if obs.cancel_requested() {
+                std::panic::panic_any(CancelledCampaign);
+            }
         }
-        let inner = threads / workers;
-        let spare = threads % workers;
-        let next_cell = AtomicUsize::new(0);
-        let mut out: Vec<RunRecord> = Vec::with_capacity(cells.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let next_cell = &next_cell;
-                let budget = (inner + usize::from(w < spare)).max(1);
-                handles.push(scope.spawn(move || {
-                    ftclip_tensor::with_thread_limit(budget, || {
-                        let mut local = net.clone();
-                        let mut got = Vec::new();
-                        loop {
-                            let k = next_cell.fetch_add(1, Ordering::Relaxed);
-                            if k >= cells.len() {
-                                return got;
-                            }
-                            let (i, rep) = cells[k];
-                            got.push(self.cell(
-                                &mut local,
-                                i,
-                                self.config.fault_rates[i],
-                                rep,
-                                clean_accuracy,
-                                cache,
-                                eval,
-                                observer,
-                            ));
-                        }
-                    })
-                }));
+        if let Some(record) = self.cache.lookup(i, rep) {
+            assert_eq!((record.rate_index, record.repetition), (i, rep), "cache returned a mislabeled cell");
+            if let Some(obs) = self.observer {
+                obs.on_cell(&record, true);
             }
-            for handle in handles {
-                match handle.join() {
-                    Ok(worker_runs) => out.extend(worker_runs),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        out
+            return record;
+        }
+        let config = &self.campaign.config;
+        let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, i, rep));
+        let faults = net.sample_faults(config, config.fault_rates[i], &mut rng);
+        let fault_count = S::fault_count(&faults);
+        let accuracy = if fault_count == 0 {
+            self.clean_accuracy
+        } else {
+            let hint = S::suffix_hint(&faults);
+            let applied = net.apply_faults(&faults);
+            let accuracy = self.eval.eval_cell(net, hint);
+            net.undo_faults(applied);
+            accuracy
+        };
+        let record = RunRecord { rate_index: i, repetition: rep, fault_count, accuracy };
+        self.cache.record(&record);
+        if let Some(obs) = self.observer {
+            obs.on_cell(&record, false);
+        }
+        record
     }
 }
 
@@ -959,34 +804,30 @@ mod tests {
         y.iter().filter(|v| v.is_finite() && v.abs() < 1e6).count() as f64 / y.len() as f64
     }
 
+    fn param_bits(n: &Sequential) -> Vec<u32> {
+        let mut v = Vec::new();
+        n.visit_params(&mut |_, _, t, _| v.extend(t.data().iter().map(|x| x.to_bits())));
+        v
+    }
+
+    /// The per-cell steps a worker runs on its clone restore it exactly.
     #[test]
-    fn campaign_restores_network() {
+    fn substrate_steps_restore_network() {
         let mut n = net();
-        let before: Vec<u32> = {
-            let mut v = Vec::new();
-            n.visit_params(&mut |_, _, t, _| v.extend(t.data().iter().map(|x| x.to_bits())));
-            v
-        };
-        let cfg = CampaignConfig {
-            fault_rates: vec![1e-2, 1e-1],
-            repetitions: 4,
-            seed: 3,
-            model: FaultModel::BitFlip,
-            target: InjectionTarget::AllWeights,
-            stopping: None,
-        };
-        Campaign::new(cfg).run(&mut n, finite_fraction);
-        let after: Vec<u32> = {
-            let mut v = Vec::new();
-            n.visit_params(&mut |_, _, t, _| v.extend(t.data().iter().map(|x| x.to_bits())));
-            v
-        };
-        assert_eq!(before, after);
+        let before = param_bits(&n);
+        let cfg = CampaignConfig::paper_default(3, 1);
+        let mut rng = StdRng::seed_from_u64(3);
+        let faults = n.sample_faults(&cfg, 1e-1, &mut rng);
+        assert!(Sequential::fault_count(&faults) > 0);
+        assert_eq!(Sequential::suffix_hint(&faults), SuffixHint { cut: faults.earliest_faulted_layer() });
+        let applied = n.apply_faults(&faults);
+        assert_ne!(param_bits(&n), before);
+        n.undo_faults(applied);
+        assert_eq!(param_bits(&n), before);
     }
 
     #[test]
     fn result_shape_matches_config() {
-        let mut n = net();
         let cfg = CampaignConfig {
             fault_rates: vec![1e-3, 1e-2, 1e-1],
             repetitions: 5,
@@ -995,7 +836,7 @@ mod tests {
             target: InjectionTarget::AllWeights,
             stopping: None,
         };
-        let res = Campaign::new(cfg).run(&mut n, finite_fraction);
+        let res = Campaign::new(cfg).run(&net(), 1, &NoCache, finite_fraction);
         assert_eq!(res.accuracies.len(), 3);
         assert!(res.accuracies.iter().all(|a| a.len() == 5));
         assert_eq!(res.runs.len(), 15);
@@ -1014,17 +855,14 @@ mod tests {
             target: InjectionTarget::AllWeights,
             stopping: None,
         };
-        let mut n1 = net();
-        let r1 = Campaign::new(cfg.clone()).run(&mut n1, finite_fraction);
-        let mut n2 = net();
-        let r2 = Campaign::new(cfg).run(&mut n2, finite_fraction);
+        let r1 = Campaign::new(cfg.clone()).run(&net(), 1, &NoCache, finite_fraction);
+        let r2 = Campaign::new(cfg).run(&net(), 1, &NoCache, finite_fraction);
         assert_eq!(r1.accuracies, r2.accuracies);
         assert_eq!(r1.runs, r2.runs);
     }
 
     #[test]
     fn higher_rates_mean_more_faults() {
-        let mut n = net();
         let cfg = CampaignConfig {
             fault_rates: vec![1e-3, 1e-1],
             repetitions: 10,
@@ -1033,7 +871,7 @@ mod tests {
             target: InjectionTarget::AllWeights,
             stopping: None,
         };
-        let res = Campaign::new(cfg).run(&mut n, finite_fraction);
+        let res = Campaign::new(cfg).run(&net(), 1, &NoCache, finite_fraction);
         let count_at = |rate_idx: usize| -> usize {
             res.runs
                 .iter()
@@ -1064,10 +902,9 @@ mod tests {
             stopping: None,
         };
         let campaign = Campaign::new(cfg);
-        let mut serial_net = net();
-        let serial = campaign.run(&mut serial_net, finite_fraction);
+        let serial = campaign.run(&net(), 1, &NoCache, finite_fraction);
         for threads in [1, 2, 4, 7] {
-            let parallel = campaign.run_parallel_with_threads(&net(), threads, finite_fraction);
+            let parallel = campaign.run(&net(), threads, &NoCache, finite_fraction);
             let bits = |a: &[Vec<f64>]| -> Vec<Vec<u64>> {
                 a.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
             };
@@ -1080,11 +917,7 @@ mod tests {
     #[test]
     fn parallel_does_not_mutate_input_network() {
         let n = net();
-        let before: Vec<u32> = {
-            let mut v = Vec::new();
-            n.visit_params(&mut |_, _, t, _| v.extend(t.data().iter().map(|x| x.to_bits())));
-            v
-        };
+        let before = param_bits(&n);
         let cfg = CampaignConfig {
             fault_rates: vec![1e-1],
             repetitions: 8,
@@ -1093,13 +926,8 @@ mod tests {
             target: InjectionTarget::AllWeights,
             stopping: None,
         };
-        Campaign::new(cfg).run_parallel_with_threads(&n, 3, finite_fraction);
-        let after: Vec<u32> = {
-            let mut v = Vec::new();
-            n.visit_params(&mut |_, _, t, _| v.extend(t.data().iter().map(|x| x.to_bits())));
-            v
-        };
-        assert_eq!(before, after);
+        Campaign::new(cfg).run(&n, 3, &NoCache, finite_fraction);
+        assert_eq!(param_bits(&n), before);
     }
 
     #[test]
@@ -1113,7 +941,7 @@ mod tests {
             target: InjectionTarget::AllWeights,
             stopping: None,
         };
-        Campaign::new(cfg).run_parallel_with_threads(&net(), 0, finite_fraction);
+        Campaign::new(cfg).run(&net(), 0, &NoCache, finite_fraction);
     }
 
     /// In-memory [`CampaignCache`] with eviction hooks, for testing resume.
@@ -1156,11 +984,10 @@ mod tests {
             stopping: None,
         };
         let campaign = Campaign::new(cfg);
-        let mut fresh_net = net();
-        let fresh = campaign.run(&mut fresh_net, finite_fraction);
+        let fresh = campaign.run(&net(), 1, &NoCache, finite_fraction);
 
         let cache = MemCache::default();
-        let populated = campaign.run_parallel_cached_with_threads(&net(), 3, &cache, finite_fraction);
+        let populated = campaign.run(&net(), 3, &cache, finite_fraction);
         assert_eq!(populated.runs, fresh.runs, "populating run must match uncached");
         assert_eq!(cache.cells.lock().unwrap().len(), 12);
 
@@ -1180,7 +1007,7 @@ mod tests {
             cache.cells.lock().unwrap().remove(key);
         }
         for threads in [1, 2, 4] {
-            let resumed = campaign.run_parallel_cached_with_threads(&net(), threads, &cache, finite_fraction);
+            let resumed = campaign.run(&net(), threads, &cache, finite_fraction);
             assert_eq!(resumed.runs, fresh.runs, "{threads} threads");
             assert_eq!(bits(&resumed.accuracies), bits(&fresh.accuracies), "{threads} threads");
             assert_eq!(resumed.clean_accuracy.to_bits(), fresh.clean_accuracy.to_bits());
@@ -1199,14 +1026,14 @@ mod tests {
         };
         let campaign = Campaign::new(cfg);
         let cache = MemCache::default();
-        let first = campaign.run_parallel_cached_with_threads(&net(), 2, &cache, finite_fraction);
+        let first = campaign.run(&net(), 2, &cache, finite_fraction);
 
         let evals = AtomicUsize::new(0);
         let counting = |n: &Sequential| {
             evals.fetch_add(1, Ordering::Relaxed);
             finite_fraction(n)
         };
-        let replayed = campaign.run_parallel_cached_with_threads(&net(), 2, &cache, counting);
+        let replayed = campaign.run(&net(), 2, &cache, counting);
         assert_eq!(evals.load(Ordering::Relaxed), 0, "cache hit must skip evaluation entirely");
         assert_eq!(replayed.runs, first.runs);
     }
@@ -1223,15 +1050,14 @@ mod tests {
         };
         let campaign = Campaign::new(cfg);
         let serial_cache = MemCache::default();
-        let mut n1 = net();
-        let serial = campaign.run_cached(&mut n1, &serial_cache, finite_fraction);
+        let serial = campaign.run(&net(), 1, &serial_cache, finite_fraction);
         let parallel_cache = MemCache::default();
-        let parallel = campaign.run_parallel_cached_with_threads(&net(), 4, &parallel_cache, finite_fraction);
+        let parallel = campaign.run(&net(), 4, &parallel_cache, finite_fraction);
         assert_eq!(serial.runs, parallel.runs);
         assert_eq!(
             serial_cache.cells.lock().unwrap().len(),
             parallel_cache.cells.lock().unwrap().len(),
-            "both executors record every cell"
+            "both thread counts record every cell"
         );
     }
 
@@ -1257,8 +1083,7 @@ mod tests {
             target: InjectionTarget::AllWeights,
             stopping: None,
         };
-        let mut n = net();
-        Campaign::new(cfg).run_cached(&mut n, &LyingCache, finite_fraction);
+        Campaign::new(cfg).run(&net(), 1, &LyingCache, finite_fraction);
     }
 
     #[test]
@@ -1334,9 +1159,7 @@ mod tests {
         let cache = MemCache::default();
 
         let fresh = std::sync::Arc::new(Recorder::default());
-        let result = crate::with_observer(fresh.clone(), || {
-            campaign.run_parallel_cached_with_threads(&net(), 3, &cache, finite_fraction)
-        });
+        let result = crate::with_observer(fresh.clone(), || campaign.run(&net(), 3, &cache, finite_fraction));
         let mut seen = fresh.cells.lock().unwrap().clone();
         seen.sort();
         let expected: Vec<(usize, usize, bool)> =
@@ -1346,9 +1169,7 @@ mod tests {
 
         // a replay over the populated cache reports the same cells as cached
         let replay = std::sync::Arc::new(Recorder::default());
-        crate::with_observer(replay.clone(), || {
-            campaign.run_parallel_cached_with_threads(&net(), 3, &cache, finite_fraction)
-        });
+        crate::with_observer(replay.clone(), || campaign.run(&net(), 3, &cache, finite_fraction));
         let mut seen = replay.cells.lock().unwrap().clone();
         seen.sort();
         assert!(seen.iter().all(|&(_, _, cached)| cached), "replayed cells carry cached = true");
@@ -1369,9 +1190,7 @@ mod tests {
         let observer = std::sync::Arc::new(Recorder { cancel_after: Some(2), ..Recorder::default() });
         let budget_before = ftclip_tensor::num_threads();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::with_observer(observer.clone(), || {
-                campaign.run_parallel_cached_with_threads(&net(), 2, &NoCache, finite_fraction)
-            })
+            crate::with_observer(observer.clone(), || campaign.run(&net(), 2, &NoCache, finite_fraction))
         }))
         .expect_err("cancellation must unwind");
         assert!(
@@ -1444,13 +1263,11 @@ mod tests {
             target: InjectionTarget::AllWeights,
             stopping: None,
         };
-        let mut exhaustive_net = net();
-        let exhaustive = Campaign::new(cfg.clone()).run(&mut exhaustive_net, finite_fraction);
+        let exhaustive = Campaign::new(cfg.clone()).run(&net(), 1, &NoCache, finite_fraction);
 
         cfg.stopping = Some(rule(0.08, 2, 8));
         let campaign = Campaign::new(cfg);
-        let mut serial_net = net();
-        let serial = campaign.run_cached(&mut serial_net, &NoCache, finite_fraction);
+        let serial = campaign.run(&net(), 1, &NoCache, finite_fraction);
         let conv = serial.convergence.as_ref().expect("adaptive runs report convergence");
         assert_eq!(conv.len(), 3);
         assert_eq!(conv[0].reps_used, 2, "zero-variance rate stops at min_reps");
@@ -1475,7 +1292,7 @@ mod tests {
         );
 
         for threads in [1, 2, 4] {
-            let parallel = campaign.run_parallel_with_threads(&net(), threads, finite_fraction);
+            let parallel = campaign.run(&net(), threads, &NoCache, finite_fraction);
             assert_eq!(bits(&parallel.accuracies), bits(&serial.accuracies), "{threads} threads");
             assert_eq!(parallel.runs, serial.runs, "{threads} threads");
             assert_eq!(parallel.convergence, serial.convergence, "{threads} threads");
@@ -1502,8 +1319,7 @@ mod tests {
                 .sum::<f64>()
                 / y.len() as f64
         };
-        let mut n = net();
-        let res = Campaign::new(cfg).run(&mut n, continuous);
+        let res = Campaign::new(cfg).run(&net(), 1, &NoCache, continuous);
         let conv = &res.convergence.as_ref().unwrap()[0];
         assert_eq!(conv.reps_used, 6, "unreachable target exhausts max_reps");
         assert!(!conv.converged);
@@ -1524,7 +1340,7 @@ mod tests {
             stopping: None,
         };
         let cache = MemCache::default();
-        Campaign::new(fixed.clone()).run_parallel_cached_with_threads(&net(), 2, &cache, finite_fraction);
+        Campaign::new(fixed.clone()).run(&net(), 2, &cache, finite_fraction);
         assert_eq!(cache.cells.lock().unwrap().len(), 6);
 
         // unreachable target forces the adaptive run to max_reps = 5: the
@@ -1535,14 +1351,13 @@ mod tests {
             evals.fetch_add(1, Ordering::Relaxed);
             finite_fraction(n)
         };
-        let extended = Campaign::new(adaptive).run_parallel_cached_with_threads(&net(), 2, &cache, counting);
+        let extended = Campaign::new(adaptive).run(&net(), 2, &cache, counting);
         assert_eq!(evals.load(Ordering::Relaxed), 4, "only the deficit beyond the cache evaluates");
         assert_eq!(cache.cells.lock().unwrap().len(), 10, "fresh cells were recorded");
 
         // and the merged result is the bit-identical prefix of exhaustive
         let exhaustive_cfg = CampaignConfig { repetitions: 5, ..fixed };
-        let mut n = net();
-        let exhaustive = Campaign::new(exhaustive_cfg).run(&mut n, finite_fraction);
+        let exhaustive = Campaign::new(exhaustive_cfg).run(&net(), 1, &NoCache, finite_fraction);
         assert_eq!(bits(&extended.accuracies), bits(&exhaustive.accuracies));
     }
 
@@ -1565,7 +1380,7 @@ mod tests {
         };
         let recorder = std::sync::Arc::new(ConvRecorder::default());
         let res = crate::with_observer(recorder.clone(), || {
-            Campaign::new(cfg).run_parallel_cached_with_threads(&net(), 2, &NoCache, finite_fraction)
+            Campaign::new(cfg).run(&net(), 2, &NoCache, finite_fraction)
         });
         let mut seen = recorder.0.lock().unwrap().clone();
         seen.sort_by_key(|c| c.rate_index);

@@ -21,7 +21,8 @@
 //! * [`Campaign`] — the paper's experiment shape: a grid of fault rates ×
 //!   repetitions with derived seeds, returning per-rate accuracy
 //!   distributions ([`Summary`]: mean, min, quartiles, max — the Fig. 7/8
-//!   box plots).
+//!   box plots). One executor runs it over any [`FaultSubstrate`]: the f32
+//!   network here, the int8 plan in `ftclip_quant`.
 //!
 //! # Example
 //!
@@ -52,8 +53,8 @@ mod sampler;
 mod stats;
 
 pub use campaign::{
-    cache_of, paper_fault_rates, Campaign, CampaignCache, CampaignConfig, CampaignError, CampaignResult,
-    CellEval, NoCache, RateConvergence, RunRecord, StoppingRule, SuffixHint,
+    paper_fault_rates, Campaign, CampaignCache, CampaignConfig, CampaignError, CampaignResult, CellEval,
+    FaultSubstrate, NoCache, RateConvergence, RunRecord, StoppingRule, SuffixHint,
 };
 pub use inject::{AppliedInjection, Injection};
 pub use memory::{InjectionTarget, MemoryMap, Region};

@@ -1,14 +1,16 @@
 //! Campaign progress observation and cooperative cancellation.
 //!
-//! Long-running campaign grids are opaque from the outside: the executors
-//! return one [`CampaignResult`](crate::CampaignResult) at the end and say
-//! nothing until then. A [`CampaignObserver`] opens a side channel — the
-//! executors report every completed cell (and whether it was served from a
-//! cache) as it happens, and poll the observer for cancellation at cell
-//! boundaries, where the network is guaranteed to be in its clean state.
+//! Long-running campaign grids are opaque from the outside:
+//! [`Campaign::run`](crate::Campaign::run) returns one
+//! [`CampaignResult`](crate::CampaignResult) at the end and says nothing
+//! until then. A [`CampaignObserver`] opens a side channel — the executor
+//! reports every completed cell (and whether it was served from a cache) as
+//! it happens, and polls the observer for cancellation at cell boundaries,
+//! where the substrate is guaranteed to be in its clean state. This holds
+//! for every substrate, f32 and int8 alike.
 //!
 //! The observer is installed per *calling thread* with [`with_observer`];
-//! the campaign executors capture it on entry and carry it into their
+//! the campaign executor captures it on entry and carries it into its
 //! worker threads, so one installation covers the whole grid regardless of
 //! the thread count. Observation is pure side channel: it never changes a
 //! result bit, and the no-observer path costs one thread-local read per
@@ -29,7 +31,7 @@ use crate::{RateConvergence, RunRecord};
 /// Receives campaign progress and answers cancellation polls.
 ///
 /// All methods default to no-ops, so an observer implements only what it
-/// needs. Implementations must be `Send + Sync`: the parallel executor's
+/// needs. Implementations must be `Send + Sync`: the executor's
 /// workers share one observer.
 pub trait CampaignObserver: Send + Sync {
     /// A cell completed. `cached` is `true` when the record was replayed
@@ -60,7 +62,7 @@ pub trait CampaignObserver: Send + Sync {
     }
 }
 
-/// Panic payload used by the executors when [`CampaignObserver::cancel_requested`]
+/// Panic payload used by the executor when [`CampaignObserver::cancel_requested`]
 /// returns `true`. Catch with [`std::panic::catch_unwind`] and downcast to
 /// distinguish cancellation from a genuine panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +89,7 @@ pub fn with_observer<T>(observer: Arc<dyn CampaignObserver>, f: impl FnOnce() ->
 }
 
 /// The observer installed on the current thread, if any. The campaign
-/// executors call this once on entry and carry the handle into their
+/// executor calls this once on entry and carries the handle into its
 /// workers (worker threads have fresh thread-locals of their own).
 pub fn current_observer() -> Option<Arc<dyn CampaignObserver>> {
     OBSERVER.with(|slot| slot.borrow().clone())

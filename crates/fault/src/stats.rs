@@ -140,9 +140,8 @@ pub fn wilson_interval(samples: &[f64], z: f64) -> Option<ConfidenceInterval> {
 ///
 /// The resampler is a deterministic function of `(samples, resamples,
 /// confidence, seed)` — the same inputs always yield the same interval, on
-/// every platform and at every thread count, which is what lets the
-/// adaptive campaign executors make identical stopping decisions in serial
-/// and parallel runs. A zero-variance sample yields a zero-width interval.
+/// every platform and at every thread count, which is what lets adaptive
+/// campaigns make identical stopping decisions at any thread count. A zero-variance sample yields a zero-width interval.
 ///
 /// Returns `None` for an empty sample, any NaN sample, `resamples == 0`,
 /// or `confidence` outside `(0, 1)`.

@@ -12,7 +12,7 @@
 //! feature counts while preserving depth, layer kinds and weight
 //! distributions. Experiments use scaled variants (AlexNet ×0.25,
 //! VGG-16 ×0.125 by default) so CPU training fits the time budget; `1.0`
-//! builds the full-size networks (see DESIGN.md §3).
+//! builds the full-size networks (see `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`).
 //!
 //! [`Zoo`] caches trained networks on disk keyed by their full
 //! specification, so experiment binaries train once and reload thereafter.

@@ -76,7 +76,7 @@ pub struct ModelSpec {
 
 impl ModelSpec {
     /// A sensible default spec for the given architecture at the
-    /// experiment-scale widths from DESIGN.md §3.
+    /// experiment-scale widths of `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`.
     pub fn default_for(arch: ZooArch) -> Self {
         let (width_mult, epochs, lr) = match arch {
             ZooArch::AlexNet => (0.25, 12, 0.02),

@@ -1,6 +1,9 @@
 //! Byte-level fault injection over the quantized weight memory.
 
-use ftclip_fault::{sample_bit_positions, BitPosition, FaultModel};
+use ftclip_fault::{
+    sample_bit_positions, BitPosition, CampaignConfig, FaultModel, FaultSubstrate, SuffixHint,
+};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::plan::QuantizedPlan;
@@ -111,6 +114,38 @@ impl AppliedQuantInjection {
     }
 }
 
+/// The int8 campaign substrate: [`ftclip_fault::Campaign::run`] over a
+/// [`QuantizedPlan`] corrupts its weight bytes through [`QuantInjection`].
+///
+/// [`CampaignConfig::target`] is ignored — the quantized weight memory is
+/// one address space of weight bytes (biases stay `f32` and are not
+/// injectable) — and every cell evaluates the whole plan
+/// ([`SuffixHint::full`]).
+impl FaultSubstrate for QuantizedPlan {
+    type Faults = QuantInjection;
+    type Applied = AppliedQuantInjection;
+
+    fn sample_faults(&self, config: &CampaignConfig, rate: f64, rng: &mut StdRng) -> QuantInjection {
+        QuantInjection::sample(self, config.model, rate, rng)
+    }
+
+    fn fault_count(faults: &QuantInjection) -> usize {
+        faults.fault_count()
+    }
+
+    fn suffix_hint(_faults: &QuantInjection) -> SuffixHint {
+        SuffixHint::full()
+    }
+
+    fn apply_faults(&mut self, faults: &QuantInjection) -> AppliedQuantInjection {
+        faults.apply(self)
+    }
+
+    fn undo_faults(&mut self, applied: AppliedQuantInjection) {
+        applied.undo(self);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,5 +231,232 @@ mod tests {
             assert_ne!(p.weights_mut(node)[word] as u8 & (1 << bit), 0, "stuck-at-1 must set the bit");
         }
         handle.undo(&mut p);
+    }
+
+    /// Int8 campaigns through the one campaign executor, `Campaign::run`
+    /// over a `QuantizedPlan`: grid shape, seed determinism, adaptive
+    /// convergence and cache replay, and bit identity at any thread count
+    /// and cache state.
+    mod campaign {
+        use std::collections::HashMap;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+
+        use ftclip_fault::{
+            Campaign, CampaignCache, CampaignConfig, CampaignResult, FaultModel, FaultSubstrate,
+            InjectionTarget, NoCache, RunRecord, StoppingRule,
+        };
+        use ftclip_nn::{Layer, Sequential};
+        use ftclip_tensor::Tensor;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        use super::snapshot;
+        use crate::QuantizedPlan;
+
+        fn plan() -> QuantizedPlan {
+            let net = Sequential::new(vec![Layer::flatten(), Layer::linear(16, 4, 3), Layer::relu()]);
+            let mut rng = StdRng::seed_from_u64(2);
+            let calib = ftclip_tensor::uniform_init(&[4, 1, 4, 4], -1.0, 1.0, &mut rng);
+            QuantizedPlan::quantize(&net, &calib).unwrap()
+        }
+
+        fn config(rates: Vec<f64>, reps: usize, stopping: Option<StoppingRule>) -> CampaignConfig {
+            CampaignConfig {
+                fault_rates: rates,
+                repetitions: reps,
+                seed: 42,
+                model: FaultModel::BitFlip,
+                target: InjectionTarget::AllWeights,
+                stopping,
+            }
+        }
+
+        /// A labeled batch the plan classifies, for evaluators whose score moves
+        /// with the faults.
+        fn labeled_batch() -> (Tensor, Vec<usize>) {
+            let mut rng = StdRng::seed_from_u64(9);
+            let images = ftclip_tensor::uniform_init(&[12, 1, 4, 4], -1.0, 1.0, &mut rng);
+            let labels = (0..12).map(|_| rng.gen_range(0..4)).collect();
+            (images, labels)
+        }
+
+        #[derive(Default)]
+        struct MemCache {
+            cells: Mutex<HashMap<(usize, usize), RunRecord>>,
+            clean: Mutex<Option<f64>>,
+        }
+
+        impl CampaignCache for MemCache {
+            fn lookup(&self, rate_index: usize, repetition: usize) -> Option<RunRecord> {
+                self.cells.lock().unwrap().get(&(rate_index, repetition)).copied()
+            }
+            fn record(&self, record: &RunRecord) {
+                self.cells
+                    .lock()
+                    .unwrap()
+                    .insert((record.rate_index, record.repetition), *record);
+            }
+            fn clean_accuracy(&self) -> Option<f64> {
+                *self.clean.lock().unwrap()
+            }
+            fn record_clean(&self, accuracy: f64) {
+                *self.clean.lock().unwrap() = Some(accuracy);
+            }
+        }
+
+        struct FixedCache(Vec<RunRecord>);
+
+        impl CampaignCache for FixedCache {
+            fn lookup(&self, rate_index: usize, repetition: usize) -> Option<RunRecord> {
+                self.0
+                    .iter()
+                    .copied()
+                    .find(|r| (r.rate_index, r.repetition) == (rate_index, repetition))
+            }
+        }
+
+        #[test]
+        fn fixed_grid_runs_every_cell_and_restores_the_plan() {
+            let mut p = plan();
+            let before = snapshot(&mut p);
+            let cfg = config(vec![0.0, 0.01], 3, None);
+            let evals = AtomicUsize::new(0);
+            let result = Campaign::new(cfg.clone()).run(&p, 1, &NoCache, |qp: &QuantizedPlan| {
+                evals.fetch_add(1, Ordering::Relaxed);
+                qp.weight_words() as f64 * 0.0 + 0.5
+            });
+            assert_eq!(result.runs.len(), 6);
+            assert_eq!(result.accuracies.len(), 2);
+            // rate 0.0 samples zero faults → clean accuracy without evaluating
+            assert!(result.accuracies[0].iter().all(|&a| a == result.clean_accuracy));
+            assert!(result.convergence.is_none());
+            assert_eq!(snapshot(&mut p), before, "campaign must leave the plan clean");
+
+            // the substrate steps a worker runs per cell restore its clone exactly
+            let mut rng = StdRng::seed_from_u64(5);
+            let faults = p.sample_faults(&cfg, 0.2, &mut rng);
+            assert!(QuantizedPlan::fault_count(&faults) > 0);
+            let applied = p.apply_faults(&faults);
+            assert_ne!(snapshot(&mut p), before);
+            p.undo_faults(applied);
+            assert_eq!(snapshot(&mut p), before, "undo restores every byte");
+        }
+
+        #[test]
+        fn cells_are_seed_deterministic_across_runs() {
+            let cfg = config(vec![0.02], 4, None);
+            let run = || {
+                Campaign::new(cfg.clone())
+                    .run(&plan(), 1, &NoCache, |qp: &QuantizedPlan| {
+                        qp.execute(&Tensor::ones(&[1, 1, 4, 4])).data()[0] as f64
+                    })
+                    .accuracies
+            };
+            assert_eq!(run(), run());
+        }
+
+        #[test]
+        fn adaptive_run_reports_convergence_per_rate() {
+            let cfg = config(
+                vec![0.01],
+                8,
+                Some(StoppingRule { target_half_width: 0.5, min_reps: 2, max_reps: 8 }),
+            );
+            let result = Campaign::new(cfg).run(&plan(), 1, &NoCache, |_: &QuantizedPlan| 0.75);
+            let conv = result.convergence.expect("adaptive run must report convergence");
+            assert_eq!(conv.len(), 1);
+            // constant accuracies: the interval collapses at min_reps
+            assert_eq!(conv[0].reps_used, 2);
+            assert!(conv[0].converged);
+            assert_eq!(result.accuracies[0].len(), 2);
+        }
+
+        #[test]
+        fn cache_hits_skip_evaluation() {
+            let cfg = config(vec![0.02], 2, None);
+            let cache = FixedCache(vec![
+                RunRecord { rate_index: 0, repetition: 0, fault_count: 5, accuracy: 0.25 },
+                RunRecord { rate_index: 0, repetition: 1, fault_count: 3, accuracy: 0.75 },
+            ]);
+            let evals = AtomicUsize::new(0);
+            let result = Campaign::new(cfg).run(&plan(), 1, &cache, |_: &QuantizedPlan| {
+                evals.fetch_add(1, Ordering::Relaxed);
+                0.0
+            });
+            assert_eq!(result.accuracies[0], vec![0.25, 0.75]);
+            assert_eq!(
+                evals.load(Ordering::Relaxed),
+                1,
+                "only the clean-accuracy evaluation runs on a full cache"
+            );
+        }
+
+        /// Everything a result says, bit for bit.
+        fn fingerprint(r: &CampaignResult) -> String {
+            let runs: Vec<_> = r
+                .runs
+                .iter()
+                .map(|c| (c.rate_index, c.repetition, c.fault_count, c.accuracy.to_bits()))
+                .collect();
+            format!("{runs:?} {:x} {:?}", r.clean_accuracy.to_bits(), r.convergence)
+        }
+
+        /// The grids of the four cases above, each fixed and adaptive, run at 1, 2
+        /// and 4 threads and resumed from a half-evicted cache: every run is
+        /// bit-identical to the single-threaded uncached one.
+        #[test]
+        fn int8_grid_is_bit_identical_at_any_thread_count_and_cache_state() {
+            let (images, labels) = labeled_batch();
+            let accuracy = |qp: &QuantizedPlan| qp.accuracy(&images, &labels, 5);
+            let cases = [
+                config(vec![0.0, 0.01], 3, None),
+                config(vec![0.02], 4, None),
+                config(
+                    vec![0.01],
+                    8,
+                    Some(StoppingRule { target_half_width: 0.5, min_reps: 2, max_reps: 8 }),
+                ),
+                config(vec![0.02], 2, None),
+            ];
+            let p = plan();
+            for case in cases {
+                let adaptive = StoppingRule {
+                    target_half_width: 0.05,
+                    min_reps: 2,
+                    max_reps: 2 * case.repetitions,
+                };
+                for cfg in [
+                    CampaignConfig { stopping: None, ..case.clone() },
+                    CampaignConfig { stopping: case.stopping.or(Some(adaptive)), ..case.clone() },
+                ] {
+                    let campaign = Campaign::new(cfg.clone());
+                    let reference = campaign.run(&p, 1, &NoCache, accuracy);
+                    for threads in [2, 4] {
+                        let parallel = campaign.run(&p, threads, &NoCache, accuracy);
+                        assert_eq!(
+                            fingerprint(&parallel),
+                            fingerprint(&reference),
+                            "{cfg:?} at {threads} threads"
+                        );
+                    }
+
+                    let cache = MemCache::default();
+                    campaign.run(&p, 2, &cache, accuracy);
+                    cache.cells.lock().unwrap().retain(|&(i, rep), _| (i + rep) % 2 == 1);
+                    let evicted = cache.cells.lock().unwrap().len();
+                    for threads in [1, 2, 4] {
+                        let resumed = campaign.run(&p, threads, &cache, accuracy);
+                        assert_eq!(
+                            fingerprint(&resumed),
+                            fingerprint(&reference),
+                            "{cfg:?} resumed at {threads} threads"
+                        );
+                        cache.cells.lock().unwrap().retain(|&(i, rep), _| (i + rep) % 2 == 1);
+                        assert_eq!(cache.cells.lock().unwrap().len(), evicted);
+                    }
+                }
+            }
+        }
     }
 }

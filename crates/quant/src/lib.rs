@@ -16,9 +16,13 @@
 //!   strata resolved against the 8-bit encoding (where `Exponent` is the
 //!   empty stratum — int8 has no exponent field, which is exactly the
 //!   structural difference the `fig_bitpos` experiment measures).
-//! * [`QuantCampaign`] — the rate × repetition campaign grid over a
-//!   quantized plan, sharing the fault crate's seed derivation, cell cache
-//!   protocol and adaptive stopping rule.
+//! * Campaigns — [`QuantizedPlan`] implements
+//!   [`ftclip_fault::FaultSubstrate`], so the one campaign executor,
+//!   [`ftclip_fault::Campaign::run`], sweeps the rate × repetition grid over
+//!   a quantized plan with the f32 path's seeds, cell cache protocol,
+//!   adaptive stopping, thread fan-out, progress events and cancellation.
+//!   The evaluator is a plain closure:
+//!   `|p: &QuantizedPlan| p.accuracy(images, labels, batch)`.
 //!
 //! # Arithmetic contract
 //!
@@ -36,13 +40,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod campaign;
 mod inject;
 mod plan;
 mod precision;
 mod qtensor;
 
-pub use campaign::QuantCampaign;
 pub use inject::{AppliedQuantInjection, QuantInjection};
 pub use plan::{QuantError, QuantizedPlan};
 pub use precision::Precision;

@@ -212,8 +212,11 @@ impl HttpClient {
         }
         req.push_str(&format!("Content-Length: {}\r\n", body.len()));
         req.push_str("\r\n");
-        stream.write_all(req.as_bytes())?;
-        stream.write_all(body)?;
+        // head and body in one write: a second small write on a keep-alive
+        // socket would stall on the peer's delayed ACK (Nagle)
+        let mut request = req.into_bytes();
+        request.extend_from_slice(body);
+        stream.write_all(&request)?;
 
         let reply = read_framed_reply(&mut stream)?;
         if reply.keeps_connection() {

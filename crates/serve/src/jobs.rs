@@ -596,9 +596,9 @@ impl Scheduler {
             JobStatus::Queued => {
                 st.queue.retain(|j| j.seq != job.seq);
                 self.metrics.queue_depth.store(st.queue.len(), Ordering::Relaxed);
-                self.finish(&mut st, job, JobStatus::Cancelled);
                 write_atomic(&self.job_dir(&job.fingerprint).join(CANCELLED_FILE), b"{}\n").ok();
                 job.push_event(vec![("event".to_string(), Value::String("cancelled".to_string()))]);
+                self.finish(&mut st, job, JobStatus::Cancelled);
                 self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
                 self.gc_locked(&st);
                 true
@@ -807,8 +807,8 @@ impl Scheduler {
         }
         let mut st = plock(&self.state);
         write_atomic(&self.job_dir(&job.fingerprint).join(CANCELLED_FILE), b"{}\n").ok();
-        self.finish(&mut st, job, JobStatus::Cancelled);
         job.push_event(vec![("event".to_string(), Value::String("cancelled".to_string()))]);
+        self.finish(&mut st, job, JobStatus::Cancelled);
         self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
         self.gc_locked(&st);
     }
@@ -879,13 +879,13 @@ impl Scheduler {
             self.fail_job(job, &format!("completed but the result record could not be persisted: {error}"));
             return;
         }
-        self.finish(&mut st, job, JobStatus::Completed);
         job.push_event(vec![
             ("event".to_string(), Value::String("completed".to_string())),
             ("etag".to_string(), Value::String(format!("\"{}\"", job.fingerprint))),
             ("tables".to_string(), Value::Number(table_count as f64)),
             ("failures".to_string(), Value::Number(outcome.failures.len() as f64)),
         ]);
+        self.finish(&mut st, job, JobStatus::Completed);
         self.metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
         self.gc_locked(&st);
     }
@@ -896,15 +896,17 @@ impl Scheduler {
             write_atomic(&self.job_dir(&job.fingerprint).join(ERROR_FILE), rendered.as_bytes()).ok();
         }
         let mut st = plock(&self.state);
-        self.finish(&mut st, job, JobStatus::Failed);
         job.push_event(vec![
             ("event".to_string(), Value::String("failed".to_string())),
             ("error".to_string(), Value::String(error.to_string())),
         ]);
+        self.finish(&mut st, job, JobStatus::Failed);
         self.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
         self.gc_locked(&st);
     }
 
+    /// Flips `job` terminal. Callers push the terminal event first: a
+    /// stream that sees the flip must already find its last line.
     fn finish(&self, st: &mut SchedState, job: &Arc<Job>, status: JobStatus) {
         job.set_status(status);
         st.live_by_fp.remove(&job.fingerprint);
@@ -945,7 +947,7 @@ fn best_index(queue: &[Arc<Job>], now: Instant) -> Option<usize> {
 }
 
 /// The per-job [`CampaignObserver`]: appends cell events and answers the
-/// executors' cancellation polls.
+/// executor's cancellation polls.
 struct JobProgress {
     job: Arc<Job>,
     abandon: Arc<AtomicBool>,

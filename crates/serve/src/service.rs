@@ -332,9 +332,12 @@ async fn stream_events(shared: &Arc<Shared>, stream: &TcpStream, job: &Arc<Job>)
     }
     let mut sent = 0usize;
     loop {
+        // read the flag before the log: the terminal event is pushed before
+        // the flip, so a terminal job's log read afterwards holds it
+        let terminal = job.is_terminal();
         let lines = job.events_from(sent);
         if lines.is_empty() {
-            if job.is_terminal()
+            if terminal
                 || shared.scheduler.abandoning()
                 || (shared.scheduler.stopping() && job.status() != JobStatus::Running)
             {

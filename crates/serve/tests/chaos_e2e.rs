@@ -32,9 +32,13 @@ fn state_dir(tag: &str) -> PathBuf {
 }
 
 fn server(dir: &Path, workers: usize) -> (Server, HttpClient) {
+    server_with_threads(dir, workers, 2)
+}
+
+fn server_with_threads(dir: &Path, workers: usize, threads: usize) -> (Server, HttpClient) {
     let mut config = ServeConfig::new(dir.to_path_buf());
     config.workers = workers;
-    config.threads = 2;
+    config.threads = threads;
     // fast, still-jittered backoff so retry-heavy tests stay quick
     let server = Server::start(config).expect("server starts");
     server.scheduler().set_retry_policy(RetryPolicy {
@@ -146,7 +150,9 @@ fn supervised_retries_recover_from_cell_panics_bit_identically() {
     let reference = reference_tables("panic-ref", &spec);
 
     let dir = state_dir("panic-retry");
-    let (server, client) = server(&dir, 1);
+    // one campaign thread: cells run one at a time, so each attempt's first
+    // cell event is the one that panics
+    let (server, client) = server_with_threads(&dir, 1, 1);
     // the first two cell events panic (one per attempt); attempt 3 runs dry
     failpoint::configure("serve.cell=panic*2").unwrap();
     let body = submit(&client, &spec);

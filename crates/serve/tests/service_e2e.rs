@@ -1,12 +1,15 @@
 //! End-to-end tests of the `ftclipd` service contract, driven over real
 //! sockets with the blocking [`HttpClient`]: submit → stream → cache-hit
-//! dedup, cancellation while running, concurrent-duplicate coalescing, and
-//! bit-identical crash-resume via [`Server::abandon`].
+//! dedup, cancellation while running, concurrent-duplicate coalescing,
+//! bit-identical crash-resume via [`Server::abandon`], int8 campaigns under
+//! the same progress/cancel/deadline contract, and terminal events that
+//! always close their stream.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ftclip_bench::{ExperimentSpec, Procedure, RateGrid, RunSettings, Runner};
+use ftclip_quant::Precision;
 use ftclip_serve::{HttpClient, ServeConfig, Server};
 use serde::Value;
 
@@ -51,6 +54,12 @@ fn slow_spec(name: &str, reps: usize) -> ExperimentSpec {
     spec
 }
 
+/// `spec` on the int8 engine.
+fn int8(mut spec: ExperimentSpec) -> ExperimentSpec {
+    spec.precision = Precision::Int8;
+    spec
+}
+
 fn submit(client: &HttpClient, spec: &ExperimentSpec) -> (u16, Value) {
     let reply = client.post_json("/v1/specs", &spec.to_json()).expect("submit");
     let body = reply.json().expect("submission body is JSON");
@@ -80,6 +89,13 @@ fn wait_for(client: &HttpClient, id: &str, timeout: Duration, pred: impl Fn(&Val
         assert!(Instant::now() < deadline, "timed out waiting on {id}: {detail:?}");
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+fn event_kinds(lines: &[Value]) -> Vec<String> {
+    lines
+        .iter()
+        .filter_map(|v| v.get("event").and_then(Value::as_str).map(str::to_string))
+        .collect()
 }
 
 fn metrics(client: &HttpClient) -> Value {
@@ -356,5 +372,80 @@ fn admin_endpoints_stay_open_without_a_configured_token() {
     let ok = client.request("POST", "/v1/admin/shutdown", &[], b"").expect("request");
     assert_eq!(ok.status, 202, "{}", ok.text());
     server.join();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Int8 campaigns run through the same executor as f32 ones: they stream
+/// `clean` and `cell` events, unwind on cancel and on a deadline at a cell
+/// boundary, and leave the worker free for the next job.
+#[test]
+fn int8_jobs_stream_progress_and_honor_cancel_and_deadline() {
+    let dir = state_dir("int8");
+    let (server, client) = server(&dir, 1, 2);
+
+    let (status, body) = submit(&client, &int8(tiny_spec("int8-rt")));
+    assert_eq!(status, 202, "{body:?}");
+    let id = body.get("id").and_then(Value::as_str).unwrap().to_string();
+    let lines = client.get(&format!("/v1/jobs/{id}/events")).expect("events").ndjson();
+    let kinds = event_kinds(&lines);
+    assert!(kinds.iter().any(|k| k == "clean"), "{kinds:?}");
+    assert_eq!(kinds.iter().filter(|k| *k == "cell").count(), 4, "{kinds:?}");
+    assert_eq!(kinds.last().map(String::as_str), Some("completed"));
+
+    // cancel mid-flight
+    let (status, body) = submit(&client, &int8(slow_spec("int8-long", 20_000)));
+    assert_eq!(status, 202);
+    let id = body.get("id").and_then(Value::as_str).unwrap().to_string();
+    wait_for(&client, &id, Duration::from_secs(60), |d| {
+        d.get("cells_done").and_then(Value::as_u64).unwrap_or(0) >= 1
+    });
+    assert_eq!(client.delete(&format!("/v1/jobs/{id}")).expect("cancel").status, 202);
+    let detail = wait_for(&client, &id, Duration::from_secs(60), |d| job_status(d) != "running");
+    assert_eq!(job_status(&detail), "cancelled", "{detail:?}");
+    assert!(detail.get("cells_done").and_then(Value::as_u64).unwrap() >= 1);
+
+    // a deadline fails the job at a cell boundary
+    let reply = client
+        .post_json("/v1/specs?deadline_s=1", &int8(slow_spec("int8-endless", 20_000)).to_json())
+        .expect("submit with deadline");
+    assert_eq!(reply.status, 202, "{}", reply.text());
+    let id = reply
+        .json()
+        .and_then(|v| v.get("id").and_then(Value::as_str).map(str::to_string))
+        .unwrap();
+    let detail = wait_for(&client, &id, Duration::from_secs(120), |d| {
+        matches!(job_status(d).as_str(), "completed" | "failed")
+    });
+    assert_eq!(job_status(&detail), "failed", "{detail:?}");
+    let events = client.get(&format!("/v1/jobs/{id}/events")).expect("events").text();
+    assert!(events.contains("deadline"), "{events}");
+
+    // the single worker is free: the next job completes
+    let (status, body) = submit(&client, &int8(tiny_spec("int8-after")));
+    assert_eq!(status, 202);
+    let id = body.get("id").and_then(Value::as_str).unwrap().to_string();
+    wait_for(&client, &id, Duration::from_secs(120), |d| job_status(d) == "completed");
+
+    server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The terminal event is in the log before the job turns terminal, so an
+/// event stream never closes without it.
+#[test]
+fn event_streams_always_end_with_the_terminal_event() {
+    let dir = state_dir("terminal");
+    let (server, client) = server(&dir, 2, 2);
+    for k in 0..20 {
+        let mut spec = tiny_spec(&format!("terminal-{k}"));
+        spec.seed = 1000 + k;
+        let (status, body) = submit(&client, &spec);
+        assert_eq!(status, 202, "{body:?}");
+        let id = body.get("id").and_then(Value::as_str).unwrap().to_string();
+        let lines = client.get(&format!("/v1/jobs/{id}/events")).expect("events").ndjson();
+        let kinds = event_kinds(&lines);
+        assert_eq!(kinds.last().map(String::as_str), Some("completed"), "job {k}: {kinds:?}");
+    }
+    server.shutdown();
     std::fs::remove_dir_all(dir).ok();
 }

@@ -18,7 +18,7 @@
 //! * [`ResultStore`]/[`StoreSession`] — an append-only on-disk cache under
 //!   `results/cache/` storing each cell's accuracy as raw IEEE-754 bits.
 //!   A session implements [`ftclip_fault::CampaignCache`], so
-//!   `Campaign::run_parallel_cached` skips completed cells on resume —
+//!   `Campaign::run` skips completed cells on resume —
 //!   with results **bit-identical** to a fresh run at any thread count.
 //! * [`campaign_fingerprint`] — the canonical fingerprint of a
 //!   [`ftclip_fault::CampaignConfig`] bound to a network. Repetition count
@@ -49,9 +49,9 @@
 //!     let y = n.execute(&ftclip_tensor::Tensor::ones(&[1, 4]), Span::full(), &mut Scratch::new());
 //!     y.iter().filter(|v| v.is_finite()).count() as f64 / y.len() as f64
 //! };
-//! let fresh = campaign.run_parallel_cached(&net, &session, eval);
+//! let fresh = campaign.run(&net, 2, &session, eval);
 //! // a second run is served entirely from the cache, bit for bit
-//! let resumed = campaign.run_parallel_cached(&net, &session, eval);
+//! let resumed = campaign.run(&net, 2, &session, eval);
 //! assert_eq!(fresh.runs, resumed.runs);
 //! # std::fs::remove_dir_all(session.dir()).ok();
 //! ```

@@ -656,7 +656,7 @@ mod tests {
     /// replays the stored prefix and only samples the deficit.
     #[test]
     fn adaptive_run_extends_a_fixed_reps_session_on_disk() {
-        use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, StoppingRule};
+        use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, NoCache, StoppingRule};
         use ftclip_nn::{Layer, Sequential};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -693,7 +693,7 @@ mod tests {
 
         {
             let session = store.session(&fp).unwrap();
-            Campaign::new(fixed.clone()).run_parallel_cached(&net, &session, eval);
+            Campaign::new(fixed.clone()).run(&net, ftclip_tensor::num_threads(), &session, eval);
             assert_eq!(session.cached_cells(), 6);
         }
 
@@ -705,13 +705,13 @@ mod tests {
             evals.fetch_add(1, Ordering::Relaxed);
             eval(n)
         };
-        let extended = Campaign::new(adaptive).run_parallel_cached(&net, &session, counting);
+        let extended = Campaign::new(adaptive).run(&net, ftclip_tensor::num_threads(), &session, counting);
         assert_eq!(evals.load(Ordering::Relaxed), 4, "stored reps replay; only the deficit runs");
         assert_eq!(session.cached_cells(), 10);
 
         // and the extension is bit-identical to the exhaustive run
-        let mut n = net.clone();
-        let exhaustive = Campaign::new(CampaignConfig { repetitions: 5, ..fixed }).run(&mut n, eval);
+        let exhaustive =
+            Campaign::new(CampaignConfig { repetitions: 5, ..fixed }).run(&net, 1, &NoCache, eval);
         let bits = |a: &[Vec<f64>]| -> Vec<Vec<u64>> {
             a.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
         };

@@ -68,9 +68,12 @@ fn main() {
         stopping: None,
     });
     println!("\nevaluating resilience (clipped vs unprotected) …");
-    let protected_result = campaign.run(&mut net, |n: &Sequential| eval.accuracy(n));
-    let mut unprotected_net = unprotected;
-    let unprotected_result = campaign.run(&mut unprotected_net, |n: &Sequential| eval.accuracy(n));
+    let protected_result =
+        campaign.run(&net, ftclipact::tensor::num_threads(), &NoCache, |n: &Sequential| eval.accuracy(n));
+    let unprotected_result =
+        campaign.run(&unprotected, ftclipact::tensor::num_threads(), &NoCache, |n: &Sequential| {
+            eval.accuracy(n)
+        });
 
     let cmp = Comparison::new(&protected_result, &unprotected_result);
     println!("\n{}", cmp.to_table());

@@ -67,7 +67,8 @@ fn main() {
         target: InjectionTarget::AllWeights,
         stopping: None,
     });
-    let unprotected = campaign.run(&mut net, |n: &Sequential| eval.accuracy(n));
+    let unprotected =
+        campaign.run(&net, ftclipact::tensor::num_threads(), &NoCache, |n: &Sequential| eval.accuracy(n));
 
     // ------------------------------------------------------------------
     // 3. FT-ClipAct Step 1+2: profile ACT_max, clip every activation.
@@ -77,7 +78,8 @@ fn main() {
     println!("\nprofiled ACT_max per activation site: {thresholds:?}");
     let mut clipped = net.clone();
     clipped.convert_to_clipped(&thresholds);
-    let protected = campaign.run(&mut clipped, |n: &Sequential| eval.accuracy(n));
+    let protected =
+        campaign.run(&clipped, ftclipact::tensor::num_threads(), &NoCache, |n: &Sequential| eval.accuracy(n));
 
     // ------------------------------------------------------------------
     // 4. Compare.

@@ -60,7 +60,8 @@ fn main() {
             target: InjectionTarget::Layer(layer),
             stopping: None,
         });
-        let result = campaign.run(&mut net, |n: &Sequential| eval.accuracy(n));
+        let result =
+            campaign.run(&net, ftclipact::tensor::num_threads(), &NoCache, |n: &Sequential| eval.accuracy(n));
         print!("{:<10} {:>10}", name, map.total_bits());
         for m in result.mean_accuracies() {
             print!(" {:>9.3}", m);

@@ -43,7 +43,7 @@ pub mod prelude {
     };
     pub use ftclip_data::{Dataset, SynthCifar};
     pub use ftclip_fault::{
-        Campaign, CampaignConfig, CellEval, FaultModel, InjectionTarget, SuffixHint, Summary,
+        Campaign, CampaignConfig, CellEval, FaultModel, InjectionTarget, NoCache, SuffixHint, Summary,
     };
     pub use ftclip_nn::{Activation, Layer, Sequential, Trainer};
     pub use ftclip_store::{campaign_fingerprint, Fingerprint, ResultStore};

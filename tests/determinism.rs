@@ -80,9 +80,8 @@ fn campaigns_are_reproducible_end_to_end() {
         stopping: None,
     };
     let run = || {
-        let mut net = tiny_net();
         Campaign::new(cfg.clone())
-            .run(&mut net, |n: &Sequential| eval.accuracy(n))
+            .run(&tiny_net(), 1, &NoCache, |n: &Sequential| eval.accuracy(n))
             .accuracies
     };
     assert_eq!(run(), run());
@@ -106,19 +105,14 @@ fn parallel_campaign_is_bit_identical_to_single_threaded() {
     };
     let campaign = Campaign::new(cfg);
     let net = tiny_net();
-    let one = campaign.run_parallel_with_threads(&net, 1, |n: &Sequential| eval.accuracy(n));
-    let four = campaign.run_parallel_with_threads(&net, 4, |n: &Sequential| eval.accuracy(n));
+    let one = campaign.run(&net, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
+    let four = campaign.run(&net, 4, &NoCache, |n: &Sequential| eval.accuracy(n));
     assert_eq!(one.runs, four.runs, "RunRecords must be bit-identical across thread counts");
     assert_eq!(one.clean_accuracy.to_bits(), four.clean_accuracy.to_bits());
     let bits = |r: &ftclipact::fault::CampaignResult| -> Vec<Vec<u64>> {
         r.accuracies.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
     };
     assert_eq!(bits(&one), bits(&four));
-
-    // and the parallel path agrees with the historical serial executor
-    let mut serial_net = tiny_net();
-    let serial = campaign.run(&mut serial_net, |n: &Sequential| eval.accuracy(n));
-    assert_eq!(serial.runs, four.runs);
 }
 
 #[test]
@@ -140,10 +134,9 @@ fn per_layer_suffix_campaign_is_bit_identical_to_full_forward() {
             stopping: None,
         };
         let campaign = Campaign::new(cfg);
-        let mut serial_net = net.clone();
-        let full = campaign.run(&mut serial_net, |n: &Sequential| eval.accuracy(n));
+        let full = campaign.run(&net, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
         for threads in [1usize, 2, 4] {
-            let sx = campaign.run_parallel_with_threads(&net, threads, suffix.clone());
+            let sx = campaign.run(&net, threads, &NoCache, suffix.clone());
             assert_eq!(sx.runs, full.runs, "layer {layer_index}, {threads} threads");
             assert_eq!(sx.clean_accuracy.to_bits(), full.clean_accuracy.to_bits());
         }
@@ -188,9 +181,8 @@ fn campaign_with_fewer_cells_than_threads_is_bit_identical() {
         stopping: None,
     };
     let campaign = Campaign::new(cfg);
-    let mut serial_net = tiny_net();
-    let serial = campaign.run(&mut serial_net, |n: &Sequential| eval.accuracy(n));
-    let wide = campaign.run_parallel_with_threads(&tiny_net(), 8, |n: &Sequential| eval.accuracy(n));
+    let serial = campaign.run(&tiny_net(), 1, &NoCache, |n: &Sequential| eval.accuracy(n));
+    let wide = campaign.run(&tiny_net(), 8, &NoCache, |n: &Sequential| eval.accuracy(n));
     assert_eq!(serial.runs, wide.runs);
     assert_eq!(serial.clean_accuracy.to_bits(), wide.clean_accuracy.to_bits());
 }

@@ -163,8 +163,76 @@ fn the_two_diagrams_moved_to_the_architecture_guide() {
     let root = repo_root();
     let arch = std::fs::read_to_string(root.join("docs/ARCHITECTURE.md")).unwrap();
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
-    for marker in ["├─ Campaign::run_parallel", "evaluate(cut = L):"] {
+    for marker in ["├─ Campaign::run ──", "evaluate(cut = L):"] {
         assert!(arch.contains(marker), "ARCHITECTURE.md must hold the diagram line {marker:?}");
         assert!(!readme.contains(marker), "README.md should link, not duplicate, {marker:?}");
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every upper-case markdown file name mentioned in `text`, with its path
+/// prefix and `#fragment` when present.
+fn doc_mentions(text: &str) -> Vec<String> {
+    let is_path = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '/';
+    let is_fragment = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices(".md") {
+        let start = text[..at].rfind(|c: char| !is_path(c)).map_or(0, |i| i + 1);
+        let mut end = at + 3;
+        if text[end..].starts_with('#') {
+            end += 1 + text[end + 1..].find(|c: char| !is_fragment(c)).unwrap_or(text.len() - end - 1);
+        }
+        let mention = &text[start..end];
+        let file = mention.rsplit('/').next().unwrap_or(mention);
+        if file.starts_with(|c: char| c.is_ascii_uppercase()) {
+            found.push(mention.to_string());
+        }
+    }
+    found
+}
+
+/// Code comments and printed messages may only point at documentation that
+/// exists: the file (at the repo root or under docs/) and the heading.
+#[test]
+fn doc_references_in_sources_resolve() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut broken = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        for mention in doc_mentions(&text) {
+            let (path, fragment) = match mention.split_once('#') {
+                Some((p, f)) => (p, Some(f)),
+                None => (mention.as_str(), None),
+            };
+            let Some(resolved) = [root.join(path), root.join("docs").join(path)]
+                .into_iter()
+                .find(|p| p.is_file())
+            else {
+                broken.push(format!("{}: {mention} -> no such file", file.display()));
+                continue;
+            };
+            if let Some(fragment) = fragment {
+                if !anchors(&std::fs::read_to_string(&resolved).unwrap()).contains(fragment) {
+                    broken.push(format!("{}: {mention} -> no such heading", file.display()));
+                }
+            }
+        }
+    }
+    assert!(broken.is_empty(), "dangling documentation references:\n{}", broken.join("\n"));
 }

@@ -56,7 +56,7 @@ fn training_beats_chance_substantially() {
 #[test]
 fn high_fault_rates_destroy_unprotected_accuracy() {
     let data = dataset();
-    let mut net = trained_cnn(&data);
+    let net = trained_cnn(&data);
     let eval = EvalSet::from_dataset(data.test(), 64);
     let clean = eval.accuracy(&net);
     let campaign = Campaign::new(CampaignConfig {
@@ -67,7 +67,7 @@ fn high_fault_rates_destroy_unprotected_accuracy() {
         target: InjectionTarget::AllWeights,
         stopping: None,
     });
-    let result = campaign.run(&mut net, |n: &Sequential| eval.accuracy(n));
+    let result = campaign.run(&net, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
     let faulted = result.mean_accuracies()[0];
     assert!(
         faulted < clean - 0.15,
@@ -80,7 +80,7 @@ fn profiled_clipping_recovers_resilience() {
     // The paper's central claim at integration scale: ACT_max-initialized
     // clipping recovers a large share of the accuracy the faults destroy.
     let data = dataset();
-    let mut unprotected = trained_cnn(&data);
+    let unprotected = trained_cnn(&data);
     let eval = EvalSet::from_dataset(data.test(), 64);
 
     let profiles = profile_network(&unprotected, data.val().images(), 64, 16);
@@ -96,8 +96,8 @@ fn profiled_clipping_recovers_resilience() {
         target: InjectionTarget::AllWeights,
         stopping: None,
     });
-    let res_unprotected = campaign.run(&mut unprotected, |n: &Sequential| eval.accuracy(n));
-    let res_clipped = campaign.run(&mut clipped, |n: &Sequential| eval.accuracy(n));
+    let res_unprotected = campaign.run(&unprotected, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
+    let res_clipped = campaign.run(&clipped, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
 
     let auc_u = campaign_auc(&res_unprotected);
     let auc_c = campaign_auc(&res_clipped);

@@ -88,19 +88,14 @@ fn resumed_campaign_is_bit_identical_serial_and_parallel() {
     let campaign = campaign();
 
     // reference: an uninterrupted, uncached run
-    let mut fresh_net = net.clone();
-    let fresh = campaign.run(&mut fresh_net, |n: &Sequential| eval.accuracy(n));
+    let fresh = campaign.run(&net, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
 
     // populate the cache, then "interrupt" it by deleting half the cells,
     // and resume — serially and at 4 worker threads
     for threads in [1usize, 4] {
         let (store, root) = fresh_store(&format!("t{threads}"));
-        let populated = campaign.run_parallel_cached_with_threads(
-            &net,
-            threads,
-            &session(&store, &net),
-            |n: &Sequential| eval.accuracy(n),
-        );
+        let populated =
+            campaign.run(&net, threads, &session(&store, &net), |n: &Sequential| eval.accuracy(n));
         assert_eq!(populated.runs, fresh.runs, "populating run must already match ({threads} threads)");
 
         let dir = session(&store, &net).dir().to_path_buf();
@@ -108,26 +103,16 @@ fn resumed_campaign_is_bit_identical_serial_and_parallel() {
         assert_eq!(before, 12, "campaign has 3 rates × 4 reps cells");
         assert!(after < before, "eviction must actually remove cells");
 
-        let resumed = campaign.run_parallel_cached_with_threads(
-            &net,
-            threads,
-            &session(&store, &net),
-            |n: &Sequential| eval.accuracy(n),
-        );
+        let resumed = campaign.run(&net, threads, &session(&store, &net), |n: &Sequential| eval.accuracy(n));
         assert_eq!(resumed.runs, fresh.runs, "resume must replay the fresh bits ({threads} threads)");
         assert_eq!(result_bits(&resumed), result_bits(&fresh), "{threads} threads");
 
         // the resumed cache is complete again: a third run evaluates nothing
         let evals = AtomicUsize::new(0);
-        let replayed = campaign.run_parallel_cached_with_threads(
-            &net,
-            threads,
-            &session(&store, &net),
-            |n: &Sequential| {
-                evals.fetch_add(1, Ordering::Relaxed);
-                eval.accuracy(n)
-            },
-        );
+        let replayed = campaign.run(&net, threads, &session(&store, &net), |n: &Sequential| {
+            evals.fetch_add(1, Ordering::Relaxed);
+            eval.accuracy(n)
+        });
         assert_eq!(evals.load(Ordering::Relaxed), 0, "full cache must skip every evaluation");
         assert_eq!(replayed.runs, fresh.runs);
 
@@ -142,20 +127,15 @@ fn resumed_output_files_are_byte_identical() {
     let net = tiny_net();
     let campaign = campaign();
 
-    let mut fresh_net = net.clone();
-    let fresh = campaign.run(&mut fresh_net, |n: &Sequential| eval.accuracy(n));
+    let fresh = campaign.run(&net, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
     let rates = fresh.fault_rates.clone();
     let fresh_table = ftclip_bench::campaign_summary_table("resume_check", &fresh, &rates).unwrap();
 
     let (store, root) = fresh_store("files");
-    campaign
-        .run_parallel_cached_with_threads(&net, 4, &session(&store, &net), |n: &Sequential| eval.accuracy(n));
+    campaign.run(&net, 4, &session(&store, &net), |n: &Sequential| eval.accuracy(n));
     let dir = session(&store, &net).dir().to_path_buf();
     delete_half_the_cells(&dir);
-    let resumed =
-        campaign.run_parallel_cached_with_threads(&net, 4, &session(&store, &net), |n: &Sequential| {
-            eval.accuracy(n)
-        });
+    let resumed = campaign.run(&net, 4, &session(&store, &net), |n: &Sequential| eval.accuracy(n));
     let resumed_table = ftclip_bench::campaign_summary_table("resume_check", &resumed, &rates).unwrap();
 
     assert_eq!(resumed_table.to_csv(), fresh_table.to_csv(), "CSV must be byte-identical");
@@ -187,12 +167,11 @@ fn suffix_evaluator_reproduces_closure_fixtures_at_all_cache_states() {
     let net = tiny_net();
     let campaign = campaign();
 
-    let mut fresh_net = net.clone();
-    let fresh = campaign.run(&mut fresh_net, |n: &Sequential| eval.accuracy(n));
+    let fresh = campaign.run(&net, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
 
     // cold: a fresh evaluator (and cache) per thread count
     for threads in [1usize, 2, 4] {
-        let cold = campaign.run_parallel_with_threads(&net, threads, eval.suffix_eval());
+        let cold = campaign.run(&net, threads, &NoCache, eval.suffix_eval());
         assert_eq!(cold.runs, fresh.runs, "cold cache, {threads} threads");
         assert_eq!(result_bits(&cold), result_bits(&fresh), "cold cache, {threads} threads");
     }
@@ -200,7 +179,7 @@ fn suffix_evaluator_reproduces_closure_fixtures_at_all_cache_states() {
     // warm: one shared evaluator across repeated runs and thread counts
     let warm = eval.suffix_eval();
     for threads in [1usize, 2, 4] {
-        let run = campaign.run_parallel_with_threads(&net, threads, warm.clone());
+        let run = campaign.run(&net, threads, &NoCache, warm.clone());
         assert_eq!(run.runs, fresh.runs, "warm cache, {threads} threads");
         assert_eq!(result_bits(&run), result_bits(&fresh), "warm cache, {threads} threads");
     }
@@ -209,7 +188,7 @@ fn suffix_evaluator_reproduces_closure_fixtures_at_all_cache_states() {
     // budget-exhausted: a zero-byte budget memoizes nothing and falls back
     // to recomputing every prefix — still bit-identical
     let exhausted = eval.suffix_eval_with_budget(0);
-    let run = campaign.run_parallel_with_threads(&net, 2, exhausted.clone());
+    let run = campaign.run(&net, 2, &NoCache, exhausted.clone());
     assert_eq!(run.runs, fresh.runs, "budget-exhausted cache");
     assert_eq!(result_bits(&run), result_bits(&fresh), "budget-exhausted cache");
     let stats = exhausted.cache().stats();
@@ -227,28 +206,22 @@ fn suffix_and_closure_paths_share_store_cells() {
     let net = tiny_net();
     let campaign = campaign();
 
-    let mut fresh_net = net.clone();
-    let fresh = campaign.run(&mut fresh_net, |n: &Sequential| eval.accuracy(n));
+    let fresh = campaign.run(&net, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
 
     let (store, root) = fresh_store("suffix");
     // populate with the suffix evaluator …
-    let populated =
-        campaign.run_parallel_cached_with_threads(&net, 4, &session(&store, &net), eval.suffix_eval());
+    let populated = campaign.run(&net, 4, &session(&store, &net), eval.suffix_eval());
     assert_eq!(populated.runs, fresh.runs, "suffix-populated run must match uncached");
 
     // … interrupt, resume with the legacy closure …
     let dir = session(&store, &net).dir().to_path_buf();
     delete_half_the_cells(&dir);
-    let resumed =
-        campaign.run_parallel_cached_with_threads(&net, 2, &session(&store, &net), |n: &Sequential| {
-            eval.accuracy(n)
-        });
+    let resumed = campaign.run(&net, 2, &session(&store, &net), |n: &Sequential| eval.accuracy(n));
     assert_eq!(resumed.runs, fresh.runs, "closure resume over suffix-written cells");
 
     // … interrupt again, resume with the suffix evaluator
     delete_half_the_cells(&dir);
-    let resumed =
-        campaign.run_parallel_cached_with_threads(&net, 1, &session(&store, &net), eval.suffix_eval());
+    let resumed = campaign.run(&net, 1, &session(&store, &net), eval.suffix_eval());
     assert_eq!(resumed.runs, fresh.runs, "suffix resume over closure-written cells");
     assert_eq!(result_bits(&resumed), result_bits(&fresh));
     std::fs::remove_dir_all(&root).ok();
@@ -275,12 +248,12 @@ fn raising_repetitions_resumes_instead_of_restarting() {
 
     let (store, root) = fresh_store("reps");
     let open = || store.session(&campaign_fingerprint(&net, small.config())).expect("session");
-    small.run_parallel_cached_with_threads(&net, 2, &open(), |n: &Sequential| eval.accuracy(n));
+    small.run(&net, 2, &open(), |n: &Sequential| eval.accuracy(n));
     let cached_before = open().cached_cells();
     assert_eq!(cached_before, 4, "2 rates × 2 reps");
 
     let evals = AtomicUsize::new(0);
-    let result = big.run_parallel_cached_with_threads(&net, 2, &open(), |n: &Sequential| {
+    let result = big.run(&net, 2, &open(), |n: &Sequential| {
         evals.fetch_add(1, Ordering::Relaxed);
         eval.accuracy(n)
     });
@@ -294,8 +267,7 @@ fn raising_repetitions_resumes_instead_of_restarting() {
     assert_eq!(open().cached_cells(), 8);
 
     // and the merged result matches an uncached big run bit for bit
-    let mut net2 = net.clone();
-    let uncached = big.run(&mut net2, |n: &Sequential| eval.accuracy(n));
+    let uncached = big.run(&net, 1, &NoCache, |n: &Sequential| eval.accuracy(n));
     assert_eq!(result.runs, uncached.runs);
     std::fs::remove_dir_all(&root).ok();
 }

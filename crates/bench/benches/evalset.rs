@@ -1,5 +1,5 @@
 //! End-to-end benchmarks of the campaign hot path: one `EvalSet::accuracy`
-//! evaluation (the inner loop every figure binary multiplies by thousands)
+//! evaluation (the inner loop every figure run multiplies by thousands)
 //! and one full campaign cell (inject → evaluate → restore).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,15 +1,17 @@
-//! The unified `ftclip` command-line driver and the legacy per-figure
-//! entry points.
+//! The `ftclip` command-line driver — the crate's one entry point.
 //!
 //! ```text
 //! ftclip list                          # catalogue of presets
 //! ftclip describe <preset>             # the preset's spec as JSON
 //! ftclip run <preset|spec.json>...     # run one spec or a batch
 //! ftclip run --all-figs --quick        # smoke-run every figure/ablation
+//! ftclip help                          # usage (also `--help`, `run --help`)
 //! ```
 //!
 //! Every run accepts the shared flags (see [`RunSettings`]); a spec file
-//! may hold one spec object or an array of specs (a batch).
+//! may hold one spec object or an array of specs (a batch). A help request
+//! prints usage to stdout and exits 0; unknown commands, unknown flags and
+//! missing arguments print usage to stderr and exit 2.
 
 use crate::presets::{figure_presets, preset, presets};
 use crate::runner::{RunOutcome, Runner};
@@ -30,19 +32,31 @@ pub fn ftclip_main(args: impl Iterator<Item = String>) -> i32 {
             None => usage("describe needs a preset name"),
         },
         "run" => run(args),
-        "--help" | "-h" | "help" => usage("ftclip — declarative FT-ClipAct experiment driver"),
+        "--help" | "-h" | "help" => help(),
         other => usage(&format!("unknown command '{other}'")),
     }
 }
 
-fn usage(reason: &str) -> i32 {
-    eprintln!("{reason}");
-    eprintln!(
+fn usage_text() -> String {
+    format!(
         "usage:\n  ftclip list\n  ftclip describe <preset>\n  \
          ftclip run <preset|spec.json>... [--all-figs] {}",
         RunSettings::usage_flags()
-    );
+    )
+}
+
+/// A usage error: the reason and the usage text on stderr, exit code 2.
+fn usage(reason: &str) -> i32 {
+    eprintln!("{reason}");
+    eprintln!("{}", usage_text());
     2
+}
+
+/// A help request: the usage text on stdout, exit code 0.
+fn help() -> i32 {
+    println!("ftclip — declarative FT-ClipAct experiment driver");
+    println!("{}", usage_text());
+    0
 }
 
 fn list() -> i32 {
@@ -146,16 +160,23 @@ fn resolve_positional(arg: &str) -> Result<Vec<ExperimentSpec>, String> {
 
 fn run(args: impl Iterator<Item = String>) -> i32 {
     let mut all_figs = false;
+    let mut help_requested = false;
     let filtered: Vec<String> = args
-        .filter(|a| {
-            if a == "--all-figs" {
+        .filter(|a| match a.as_str() {
+            "--all-figs" => {
                 all_figs = true;
                 false
-            } else {
-                true
             }
+            "--help" | "-h" => {
+                help_requested = true;
+                false
+            }
+            _ => true,
         })
         .collect();
+    if help_requested {
+        return help();
+    }
     let (settings, positionals) =
         match RunSettings::from_arg_list(filtered.into_iter(), std::env::var("FTCLIP_CACHE").ok().as_deref())
         {
@@ -228,26 +249,6 @@ fn report_outcomes(outcomes: &[RunOutcome]) -> i32 {
     }
 }
 
-/// Entry point of the legacy per-figure binaries: parses the shared flags
-/// (no positionals), runs the named preset, prints its report, and exits —
-/// nonzero when shape checks fail, exactly like the historical binaries.
-pub fn legacy_main(preset_name: &str) -> ! {
-    let settings = RunSettings::parse_args();
-    let p = preset(preset_name).unwrap_or_else(|e| panic!("legacy wrapper: {e}"));
-    let spec = settings.apply(&p.spec);
-    let runner = Runner::new(settings);
-    match runner.run(&spec) {
-        Ok(outcome) => {
-            print!("{}", outcome.report);
-            std::process::exit(i32::from(!outcome.passed()))
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,6 +280,23 @@ mod tests {
         let stratified = describe_text(&p);
         assert!(stratified.contains("stratified to the 'exponent' bits"), "{stratified}");
         assert!(stratified.contains("precision: int8 (8-bit weight words)"), "{stratified}");
+    }
+
+    fn exit_code(args: &[&str]) -> i32 {
+        ftclip_main(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn help_requests_exit_zero_and_usage_errors_exit_two() {
+        assert_eq!(exit_code(&["--help"]), 0);
+        assert_eq!(exit_code(&["help"]), 0);
+        assert_eq!(exit_code(&["run", "--help"]), 0);
+        assert_eq!(exit_code(&["run", "fig1b", "-h"]), 0, "help wins over a runnable spec");
+        assert_eq!(exit_code(&[]), 2);
+        assert_eq!(exit_code(&["run", "--bogus"]), 2);
+        assert_eq!(exit_code(&["run"]), 2);
+        assert_eq!(exit_code(&["frobnicate"]), 2);
+        assert_eq!(exit_code(&["describe"]), 2);
     }
 
     #[test]

@@ -40,8 +40,7 @@
 //! persistent cache under `results/cache/` (see `ftclip_store`; disable
 //! with `--no-cache` or `FTCLIP_CACHE=off`), so re-runs and interrupted
 //! grids only pay for cells not yet on disk — with bit-identical results.
-//! The historical one-binary-per-figure entry points still exist as thin
-//! wrappers over the presets.
+//! `ftclip` is the crate's only binary; `ftclip help` prints its usage.
 //!
 //! This crate also hosts the Criterion micro-benchmarks (`benches/`).
 

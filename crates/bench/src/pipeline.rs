@@ -1,11 +1,11 @@
-//! Shared methodology configuration for the figure binaries.
+//! Shared methodology configuration for the figure procedures.
 
 use ftclip_core::{AucConfig, HardenReport, Methodology, ProfileConfig, TunerConfig};
 use ftclip_data::Dataset;
 use ftclip_fault::{FaultModel, InjectionTarget};
 use ftclip_nn::Sequential;
 
-/// The tuning-time AUC campaign used by the figure binaries: a reduced grid
+/// The tuning-time AUC campaign used by the figure procedures: a reduced grid
 /// (threshold search needs relative comparisons, not publication-grade error
 /// bars); see `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`.
 pub fn tuning_auc_config(seed: u64, rate_scale: f64) -> AucConfig {

@@ -4,8 +4,8 @@
 //! `ftclip run <preset>` executes one of these; `ftclip list` prints the
 //! table below. Presets carry the *small*-scale defaults (10 repetitions,
 //! 256-image eval subsets) — `--scale paper` or explicit `--reps` /
-//! `--eval-size` flags rescale them at the command line, exactly like the
-//! historical per-figure binaries.
+//! `--eval-size` flags rescale them at the command line. Each preset's spec
+//! name is the stem of the CSV/JSON files it writes.
 
 use ftclip_models::ZooArch;
 
@@ -213,9 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn preset_output_names_match_the_legacy_binaries() {
-        // the historical file stems are API: downstream plotting scripts
-        // key on them, and the golden fixtures pin their formats
+    fn preset_output_stems_are_api() {
+        // output file stems are API: downstream plotting scripts and the CI
+        // resume check key on them, and the golden fixtures pin their formats
         for (name, stem) in [
             ("fig1a", "fig1a_model_sizes"),
             ("fig1b", "fig1b_unprotected_alexnet"),

@@ -1,6 +1,6 @@
-//! Shared run settings: the one flag/environment parser every entry point
-//! uses (the `ftclip` driver and the legacy per-figure wrappers), plus the
-//! typed result writer.
+//! Shared run settings: the flag/environment parser of the `ftclip` driver
+//! (programmatic users — `ftclipd`, examples, tests — build a
+//! [`RunSettings`] directly), plus the typed result writer.
 //!
 //! Settings are *overrides*: a parsed [`RunSettings`] carries only what the
 //! user said (`--reps 3`), and [`RunSettings::apply`] layers that onto a
@@ -110,22 +110,6 @@ pub fn default_assets_dir() -> PathBuf {
 }
 
 impl RunSettings {
-    /// Parses the flags of `std::env::args`, aborting with a usage message
-    /// on positional arguments (the legacy figure binaries take none).
-    ///
-    /// Unknown flags abort with a usage message, because a typo silently
-    /// falling back to defaults would corrupt an experiment.
-    pub fn parse_args() -> RunSettings {
-        match RunSettings::from_arg_list(
-            std::env::args().skip(1),
-            std::env::var("FTCLIP_CACHE").ok().as_deref(),
-        ) {
-            Ok((settings, positionals)) if positionals.is_empty() => settings,
-            Ok((_, positionals)) => usage(&format!("unexpected argument '{}'", positionals[0])),
-            Err(e) => usage(&e),
-        }
-    }
-
     /// Parses flags from an argument list, returning the settings and any
     /// positional (non-flag) arguments in order — the `ftclip run`
     /// subcommand treats those as preset names / spec-file paths.
@@ -174,7 +158,6 @@ impl RunSettings {
                 "--cache" => explicit_cache = Some(Some(PathBuf::from(value("--cache")?))),
                 "--no-cache" => explicit_cache = Some(None),
                 "--assets" => explicit_assets = Some(PathBuf::from(value("--assets")?)),
-                "--help" | "-h" => return Err("help requested".to_string()),
                 flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
                 positional => positionals.push(positional.to_string()),
             }
@@ -229,17 +212,11 @@ impl RunSettings {
         ResultWriter::new(&self.out_dir)
     }
 
-    /// The usage line shared by every entry point's flag errors.
+    /// The flag part of the `ftclip run` usage line.
     pub fn usage_flags() -> &'static str {
         "[--scale small|paper] [--quick] [--reps N] [--eval-size N] [--seed N] \
          [--adaptive] [--ci-eps W] [--out DIR] [--cache DIR] [--no-cache] [--assets DIR]"
     }
-}
-
-fn usage(reason: &str) -> ! {
-    eprintln!("{reason}");
-    eprintln!("usage: <binary> {}", RunSettings::usage_flags());
-    std::process::exit(2)
 }
 
 /// Writes [`ResultTable`]s as paired `<name>.csv` + `<name>.json` files —

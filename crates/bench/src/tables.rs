@@ -1,4 +1,4 @@
-//! Pure [`ResultTable`] builders for the figure binaries.
+//! Pure [`ResultTable`] builders for the figure procedures.
 //!
 //! Each builder maps already-computed campaign data to the exact table a
 //! figure publishes — no I/O, no evaluation — so the output format is

@@ -2,9 +2,9 @@
 //!
 //! [`Sequential`] stores the network as a flat layer list; this module
 //! compiles that list into a small computation-graph IR and executes it
-//! through **one** entry point, [`ForwardPlan::execute`], which subsumes the
-//! legacy `forward*` family (full pass, prefix, suffix and arbitrary
-//! `[from, to)` spans are all just [`Span`] values against the same plan).
+//! through **one** entry point, [`ForwardPlan::execute`]: a full pass, a
+//! prefix, a suffix and an arbitrary `[from, to)` slice are all just
+//! [`Span`] values against the same plan.
 //!
 //! # Compilation
 //!
@@ -73,8 +73,8 @@ use crate::scratch::Scratch;
 use crate::sequential::Sequential;
 
 /// A half-open range `[from, to)` of layer indices to execute — the single
-/// argument that replaces the legacy `forward` / `forward_prefix` /
-/// `forward_suffix` method family.
+/// argument that selects a full pass, a clean prefix, a faulted suffix or a
+/// cache extension in [`Sequential::execute`].
 ///
 /// `to == None` means "to the end of the network", so [`Span::full`] and
 /// [`Span::suffix`] need no layer count at construction time.

@@ -5,7 +5,7 @@
 //! order of magnitude larger than the activations), one matrix-product
 //! output, and one activation tensor per layer. A fault campaign repeats
 //! that sequence thousands of times with identical shapes, so the inference
-//! entry points ([`crate::Sequential::forward_scratch`],
+//! entry points ([`crate::Sequential::execute`],
 //! [`crate::evaluate`]) thread a [`Scratch`] arena through the pass and
 //! recycle each layer's input buffer as soon as the next layer has consumed
 //! it. After the first batch, the allocation-dominated buffers — batch

@@ -123,99 +123,6 @@ impl Sequential {
         plan_for(self, 0, input_dims)
     }
 
-    /// Deprecated shim for a full inference pass: call
-    /// [`Sequential::execute`] with [`Span::full`] instead —
-    /// `net.execute(x, Span::full(), &mut Scratch::new())` is this method's
-    /// exact body, and supplying a reused [`Scratch`] arena there avoids the
-    /// per-call allocation this shim pays.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input shape mismatches.
-    #[deprecated(note = "superseded by the graph-IR plan API: use `Sequential::execute(x, Span::full(), \
-                         &mut Scratch::new())` or `ForwardPlan::execute`")]
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.execute(x, Span::full(), &mut Scratch::new())
-    }
-
-    /// Deprecated shim for a full pass with a caller-owned arena: call
-    /// [`Sequential::execute`] with [`Span::full`] instead —
-    /// `net.execute(x, Span::full(), scratch)` is this method's exact body.
-    /// The arena-recycling behaviour described in the [`Scratch`] module
-    /// docs belongs to `execute` itself, not to this shim.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input shape mismatches.
-    #[deprecated(note = "superseded by the graph-IR plan API: use `Sequential::execute(x, Span::full(), \
-                         scratch)` or `ForwardPlan::execute`")]
-    pub fn forward_scratch(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        self.execute(x, Span::full(), scratch)
-    }
-
-    /// Deprecated shim for an explicit `[from, to)` slice of the network:
-    /// call [`Sequential::execute`] with [`Span::range`] instead —
-    /// `net.execute(x, Span::range(from, to), scratch)` is this method's
-    /// exact body. Splitting a pass at any cut stays bit-identical by the
-    /// plan's fusion contract; an empty span returns `x` unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from > to`, `to` exceeds the layer count, or shapes
-    /// mismatch.
-    #[deprecated(note = "superseded by the graph-IR plan API: use `Sequential::execute(x, \
-                         Span::range(from, to), scratch)` or `ForwardPlan::execute`")]
-    pub fn forward_span_scratch(&self, x: &Tensor, from: usize, to: usize, scratch: &mut Scratch) -> Tensor {
-        self.execute(x, Span::range(from, to), scratch)
-    }
-
-    /// Deprecated shim for the clean prefix entering layer `cut`: call
-    /// [`Sequential::execute`] with [`Span::prefix`] instead —
-    /// `net.execute(x, Span::prefix(cut), &mut Scratch::new())` is this
-    /// method's exact body (the whole-network output when `cut == len`, the
-    /// input itself when `cut == 0`). Prefix + suffix spans compose
-    /// bit-identically at every cut; see
-    /// [`Sequential::param_layer_indices`] for the cut naming contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cut` exceeds the layer count or shapes mismatch.
-    #[deprecated(note = "superseded by the graph-IR plan API: use `Sequential::execute(x, \
-                         Span::prefix(cut), &mut Scratch::new())` or `ForwardPlan::execute`")]
-    pub fn forward_prefix(&self, x: &Tensor, cut: usize) -> Tensor {
-        self.execute(x, Span::prefix(cut), &mut Scratch::new())
-    }
-
-    /// Deprecated shim for the clean prefix with a caller-owned arena: call
-    /// [`Sequential::execute`] with [`Span::prefix`] instead —
-    /// `net.execute(x, Span::prefix(cut), scratch)` is this method's exact
-    /// body.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cut` exceeds the layer count or shapes mismatch.
-    #[deprecated(note = "superseded by the graph-IR plan API: use `Sequential::execute(x, \
-                         Span::prefix(cut), scratch)` or `ForwardPlan::execute`")]
-    pub fn forward_prefix_scratch(&self, x: &Tensor, cut: usize, scratch: &mut Scratch) -> Tensor {
-        self.execute(x, Span::prefix(cut), scratch)
-    }
-
-    /// Deprecated shim for resuming from the activation entering layer
-    /// `cut`: call [`Sequential::execute`] with [`Span::suffix`] instead —
-    /// `net.execute(act, Span::suffix(cut), scratch)` is this method's exact
-    /// body. For every cut and input, executing `Span::prefix(cut)` then
-    /// `Span::suffix(cut)` is bit-identical to one `Span::full()` pass —
-    /// the same kernels run in the same order on the same values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cut` exceeds the layer count or shapes mismatch.
-    #[deprecated(note = "superseded by the graph-IR plan API: use `Sequential::execute(act, \
-                         Span::suffix(cut), scratch)` or `ForwardPlan::execute`")]
-    pub fn forward_suffix_scratch(&self, act: &Tensor, cut: usize, scratch: &mut Scratch) -> Tensor {
-        self.execute(act, Span::suffix(cut), scratch)
-    }
-
     /// Inference forward pass that additionally captures every layer's
     /// output (Step 1 profiling and the Fig. 3 distribution analysis).
     pub fn forward_recording(&self, x: &Tensor) -> (Tensor, Vec<LayerRecord>) {
@@ -371,8 +278,8 @@ impl Sequential {
     /// [`Sequential::visit_params`] (and therefore by every sampled fault)
     /// is the layer's position in [`Sequential::layers`], so a fault set
     /// whose earliest faulted layer is `ℓ` leaves the activation returned
-    /// by [`Sequential::forward_prefix`]`(x, ℓ)` bit-identical to the clean
-    /// network's.
+    /// by [`Sequential::execute`] over `Span::prefix(ℓ)` bit-identical to
+    /// the clean network's.
     pub fn param_layer_indices(&self) -> Vec<usize> {
         self.layers
             .iter()
@@ -543,7 +450,6 @@ impl Extend<Layer> for Sequential {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shim surface stays pinned until removal
 mod tests {
     use super::*;
 
@@ -695,12 +601,12 @@ mod tests {
         let net = tiny_net();
         let mut rng = StdRng::seed_from_u64(41);
         let x = ftclip_tensor::uniform_init(&[2, 1, 8, 8], -1.0, 1.0, &mut rng);
-        let full = net.forward_scratch(&x, &mut Scratch::new());
+        let full = net.execute(&x, Span::full(), &mut Scratch::new());
         let full_bits: Vec<u32> = full.data().iter().map(|v| v.to_bits()).collect();
         for cut in 0..=net.len() {
-            let act = net.forward_prefix(&x, cut);
             let mut scratch = Scratch::new();
-            let resumed = net.forward_suffix_scratch(&act, cut, &mut scratch);
+            let act = net.execute(&x, Span::prefix(cut), &mut scratch);
+            let resumed = net.execute(&act, Span::suffix(cut), &mut scratch);
             let bits: Vec<u32> = resumed.data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, full_bits, "cut {cut}");
             assert_eq!(resumed.shape().dims(), full.shape().dims(), "cut {cut}");
@@ -711,15 +617,17 @@ mod tests {
     fn prefix_at_zero_is_input_and_at_len_is_output() {
         let net = tiny_net();
         let x = Tensor::ones(&[1, 1, 8, 8]);
-        assert!(net.forward_prefix(&x, 0).approx_eq(&x, 0.0));
-        assert!(net.forward_prefix(&x, net.len()).approx_eq(&net.forward(&x), 0.0));
+        let mut scratch = Scratch::new();
+        assert!(net.execute(&x, Span::prefix(0), &mut scratch).approx_eq(&x, 0.0));
+        let full = net.execute(&x, Span::full(), &mut scratch);
+        assert!(net.execute(&x, Span::prefix(net.len()), &mut scratch).approx_eq(&full, 0.0));
     }
 
     #[test]
     #[should_panic(expected = "outside network")]
     fn span_rejects_out_of_range_cut() {
         let net = tiny_net();
-        net.forward_prefix(&Tensor::ones(&[1, 1, 8, 8]), net.len() + 1);
+        net.execute(&Tensor::ones(&[1, 1, 8, 8]), Span::prefix(net.len() + 1), &mut Scratch::new());
     }
 
     #[test]

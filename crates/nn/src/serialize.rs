@@ -316,9 +316,13 @@ fn write_f32s<W: Write>(w: &mut W, vs: &[f32]) -> std::io::Result<()> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // round-trip checks ride the legacy shims until removal
 mod tests {
     use super::*;
+    use crate::{Scratch, Span};
+
+    fn forward(net: &Sequential, x: &Tensor) -> Tensor {
+        net.execute(x, Span::full(), &mut Scratch::new())
+    }
 
     fn sample_net() -> Sequential {
         Sequential::new(vec![
@@ -343,7 +347,7 @@ mod tests {
         assert_eq!(loaded.len(), net.len());
         assert_eq!(loaded.clip_thresholds(), net.clip_thresholds());
         let x = Tensor::ones(&[2, 3, 8, 8]);
-        assert!(net.forward(&x).approx_eq(&loaded.forward(&x), 0.0));
+        assert!(forward(&net, &x).approx_eq(&forward(&loaded, &x), 0.0));
     }
 
     #[test]
@@ -354,7 +358,7 @@ mod tests {
         save_network(&net, &path).unwrap();
         let loaded = load_network(&path).unwrap();
         let x = Tensor::ones(&[1, 3, 8, 8]);
-        assert!(net.forward(&x).approx_eq(&loaded.forward(&x), 0.0));
+        assert!(forward(&net, &x).approx_eq(&forward(&loaded, &x), 0.0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

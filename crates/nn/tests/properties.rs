@@ -139,10 +139,9 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    // The deprecated `Sequential` forward shims must keep delegating to the
-    // plan engine bit-for-bit until they are removed — this test pins them.
+    // Splitting a full pass into prefix + suffix spans at any cut, or into
+    // three spans at two cuts, is bitwise identical to one full pass.
     #[test]
-    #[allow(deprecated)]
     fn prefix_suffix_split_is_bitwise_forward_at_every_cut(
         seed in 0u64..1000,
         c1 in 1usize..4,
@@ -151,7 +150,7 @@ proptest! {
         batch in 1usize..4,
         act in activation_strategy(),
     ) {
-        use ftclip_nn::Scratch;
+        use ftclip_nn::{Scratch, Span};
         use rand::SeedableRng;
         let net = Sequential::new(vec![
             Layer::conv2d(1, c1, 3, 1, 1, seed),
@@ -167,11 +166,11 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xABCD);
         let x = ftclip_tensor::uniform_init(&[batch, 1, 8, 8], -2.0, 2.0, &mut rng);
         let mut scratch = Scratch::new();
-        let full = net.forward_scratch(&x, &mut scratch);
+        let full = net.execute(&x, Span::full(), &mut scratch);
         let full_bits: Vec<u32> = full.data().iter().map(|v| v.to_bits()).collect();
         for cut in 0..=net.len() {
-            let prefix = net.forward_prefix(&x, cut);
-            let resumed = net.forward_suffix_scratch(&prefix, cut, &mut scratch);
+            let prefix = net.execute(&x, Span::prefix(cut), &mut scratch);
+            let resumed = net.execute(&prefix, Span::suffix(cut), &mut scratch);
             let bits: Vec<u32> = resumed.data().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(bits, full_bits.clone(), "cut {}", cut);
             prop_assert_eq!(resumed.shape().dims(), full.shape().dims());
@@ -180,9 +179,9 @@ proptest! {
         // at two derived cuts is bitwise identical too
         let a = (seed as usize) % (net.len() + 1);
         let b = a + (seed as usize / 7) % (net.len() + 1 - a);
-        let first = net.forward_prefix(&x, a);
-        let middle = net.forward_span_scratch(&first, a, b, &mut scratch);
-        let tail = net.forward_suffix_scratch(&middle, b, &mut scratch);
+        let first = net.execute(&x, Span::prefix(a), &mut scratch);
+        let middle = net.execute(&first, Span::range(a, b), &mut scratch);
+        let tail = net.execute(&middle, Span::suffix(b), &mut scratch);
         let bits: Vec<u32> = tail.data().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(bits, full_bits, "spans {}..{}..{}", a, b, net.len());
     }

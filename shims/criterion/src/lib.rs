@@ -104,11 +104,11 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        parse_args(std::env::args().skip(1))
+        criterion_from_args(std::env::args().skip(1))
     }
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Criterion {
+fn criterion_from_args(args: impl Iterator<Item = String>) -> Criterion {
     let mut filter = None;
     let mut smoke = false;
     let mut args = args.peekable();
@@ -248,9 +248,9 @@ mod tests {
 
     #[test]
     fn flag_values_are_not_mistaken_for_filters() {
-        let c = parse_args(["--save-baseline", "main", "--bench"].map(String::from).into_iter());
+        let c = criterion_from_args(["--save-baseline", "main", "--bench"].map(String::from).into_iter());
         assert!(c.filter.is_none(), "'main' is --save-baseline's value, not a filter");
-        let c = parse_args(["matmul", "--test"].map(String::from).into_iter());
+        let c = criterion_from_args(["matmul", "--test"].map(String::from).into_iter());
         assert_eq!(c.filter.as_deref(), Some("matmul"));
         assert!(c.smoke);
     }

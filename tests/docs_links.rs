@@ -2,7 +2,8 @@
 //! docs/*.md): every relative link must resolve to an existing file, and
 //! every fragment pointing into a markdown file must name a real heading
 //! (GitHub anchor slugs). External http(s) links are out of scope — CI
-//! has no network.
+//! has no network. Source comments may only cite docs that exist, and
+//! build recipes (docs, CI, the verify skill) may only name real binaries.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -235,4 +236,85 @@ fn doc_references_in_sources_resolve() {
         }
     }
     assert!(broken.is_empty(), "dangling documentation references:\n{}", broken.join("\n"));
+}
+
+/// Every binary the workspace builds: each `[[bin]]` name declared in a
+/// member's `Cargo.toml` and each auto-discovered `src/bin/NAME.rs`.
+fn workspace_binaries() -> HashSet<String> {
+    let root = repo_root();
+    let mut packages = vec![root.clone()];
+    for group in ["crates", "shims"] {
+        for entry in std::fs::read_dir(root.join(group)).expect("workspace member dir").flatten() {
+            packages.push(entry.path());
+        }
+    }
+    let mut bins = HashSet::new();
+    for package in packages {
+        if let Ok(manifest) = std::fs::read_to_string(package.join("Cargo.toml")) {
+            let mut in_bin = false;
+            for line in manifest.lines().map(str::trim) {
+                if line.starts_with('[') {
+                    in_bin = line == "[[bin]]";
+                } else if let Some(value) = line.strip_prefix("name = ").filter(|_| in_bin) {
+                    bins.insert(value.trim_matches('"').to_string());
+                }
+            }
+        }
+        if let Ok(entries) = std::fs::read_dir(package.join("src/bin")) {
+            for path in entries.flatten().map(|e| e.path()) {
+                if path.extension().is_some_and(|e| e == "rs") {
+                    bins.insert(path.file_stem().unwrap().to_string_lossy().into_owned());
+                }
+            }
+        }
+    }
+    bins
+}
+
+/// Every binary name in `text` written as `--bin NAME` or
+/// `target/release/NAME`.
+fn binary_mentions(text: &str) -> Vec<String> {
+    let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    let mut found = Vec::new();
+    for prefix in ["--bin ", "target/release/"] {
+        for (at, _) in text.match_indices(prefix) {
+            let rest = &text[at + prefix.len()..];
+            let name = &rest[..rest.find(|c: char| !is_name(c)).unwrap_or(rest.len())];
+            if !name.is_empty() {
+                found.push(name.to_string());
+            }
+        }
+    }
+    found
+}
+
+/// Build and run recipes in the docs, the CI workflow and the verify skill
+/// may only name binaries the workspace actually builds.
+#[test]
+fn docs_and_ci_name_only_real_binaries() {
+    let root = repo_root();
+    let bins = workspace_binaries();
+    assert!(bins.contains("ftclip") && bins.contains("ftclipd"), "{bins:?}");
+    let mut files = doc_files();
+    files.push(root.join(".github/workflows/ci.yml"));
+    // the agent skills (the verify skill's build-and-drive recipe)
+    let skills = std::fs::read_dir(root.join(".claude/skills")).expect("skills dir");
+    for skill in skills.flatten() {
+        for entry in std::fs::read_dir(skill.path()).into_iter().flatten().flatten() {
+            if entry.path().extension().is_some_and(|e| e == "md") {
+                files.push(entry.path());
+            }
+        }
+    }
+    assert!(files.iter().any(|f| f.starts_with(root.join(".claude"))), "no skill files found");
+    let mut stale = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+        for name in binary_mentions(&text) {
+            if !bins.contains(&name) {
+                stale.push(format!("{}: no binary named '{name}'", file.display()));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "references to binaries that do not exist:\n{}", stale.join("\n"));
 }

@@ -29,14 +29,22 @@ use std::path::PathBuf;
 
 use ftclip_serve::{ServeConfig, Server};
 
+const USAGE: &str = "usage: ftclipd [--addr HOST:PORT] [--state DIR] [--workers N] [--threads N] \
+                     [--cache DIR] [--no-cache] [--assets DIR] [--fresh] [--keep-jobs N] \
+                     [--admin-token TOKEN] [--max-queue N] [--deadline-secs N] [--retries N]";
+
+/// A command-line error: the reason and the usage on stderr, exit 2.
 fn usage(reason: &str) -> ! {
     eprintln!("{reason}");
-    eprintln!(
-        "usage: ftclipd [--addr HOST:PORT] [--state DIR] [--workers N] [--threads N] \
-         [--cache DIR] [--no-cache] [--assets DIR] [--fresh] [--keep-jobs N] \
-         [--admin-token TOKEN] [--max-queue N] [--deadline-secs N] [--retries N]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
+}
+
+/// `--help`: the usage on stdout, exit 0.
+fn help() -> ! {
+    println!("ftclipd: serve FT-ClipAct campaigns over HTTP");
+    println!("{USAGE}");
+    std::process::exit(0)
 }
 
 fn parse_config() -> ServeConfig {
@@ -88,7 +96,7 @@ fn parse_config() -> ServeConfig {
                 config.max_retries =
                     Some(value("--retries").parse().unwrap_or_else(|_| usage("bad --retries")))
             }
-            "--help" | "-h" => usage("ftclipd: serve FT-ClipAct campaigns over HTTP"),
+            "--help" | "-h" => help(),
             other => usage(&format!("unknown argument '{other}'")),
         }
     }

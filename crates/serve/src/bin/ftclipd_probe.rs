@@ -32,15 +32,22 @@ use ftclip_bench::{ExperimentSpec, RunSettings};
 use ftclip_serve::{HttpClient, HttpReply};
 use serde::Value;
 
+const USAGE: &str = "usage: ftclipd_probe smoke --addr HOST:PORT [--out DIR] [--shutdown]\n\
+                     \x20      ftclipd_probe load  --addr HOST:PORT [--requests N] [--clients T] \
+                     [--out FILE] [--shutdown]\n\
+                     \x20      ftclipd_probe chaos --addr HOST:PORT [--out FILE] [--shutdown]";
+
+/// A command-line error: the reason and the usage on stderr, exit 2.
 fn usage(reason: &str) -> ! {
     eprintln!("{reason}");
-    eprintln!(
-        "usage: ftclipd_probe smoke --addr HOST:PORT [--out DIR] [--shutdown]\n\
-         \x20      ftclipd_probe load  --addr HOST:PORT [--requests N] [--clients T] \
-         [--out FILE] [--shutdown]\n\
-         \x20      ftclipd_probe chaos --addr HOST:PORT [--out FILE] [--shutdown]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
+}
+
+/// `--help`: the usage on stdout, exit 0.
+fn help() -> ! {
+    println!("{USAGE}");
+    std::process::exit(0)
 }
 
 fn check(cond: bool, what: &str) {
@@ -62,7 +69,10 @@ fn quick_fig1b_spec() -> ExperimentSpec {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mode = args.next().unwrap_or_else(|| usage("missing mode (smoke|load)"));
+    let mode = args.next().unwrap_or_else(|| usage("missing mode (smoke|load|chaos)"));
+    if mode == "--help" || mode == "-h" {
+        help();
+    }
     let mut addr: Option<SocketAddr> = None;
     let mut out: Option<String> = None;
     let mut requests = 200usize;
@@ -80,6 +90,7 @@ fn main() {
             }
             "--clients" => clients = value("--clients").parse().unwrap_or_else(|_| usage("bad --clients")),
             "--shutdown" => shutdown = true,
+            "--help" | "-h" => help(),
             other => usage(&format!("unknown argument '{other}'")),
         }
     }

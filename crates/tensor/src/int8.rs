@@ -2,11 +2,11 @@
 //!
 //! The quantized engine (`ftclip_quant`) stores weights and activations as
 //! `i8` and accumulates matrix products in `i32`. Unlike the `f32` kernels
-//! in [`crate::matmul`], whose accumulation order is pinned element-by-element
-//! to preserve bit-identity of the float path, integer addition is exact and
-//! associative — these kernels are free to unroll and re-associate, which is
-//! exactly what lets the int8 path autovectorize past the float path's
-//! single-rounding-chain constraint. Every kernel below is still
+//! behind [`crate::matmul()`], whose accumulation order is pinned
+//! element-by-element to preserve bit-identity of the float path, integer
+//! addition is exact and associative — these kernels are free to unroll and
+//! re-associate, which is exactly what lets the int8 path autovectorize past
+//! the float path's single-rounding-chain constraint. Every kernel below is still
 //! deterministic: the same inputs always produce the same `i32` sums, in any
 //! association order.
 //!
@@ -82,7 +82,8 @@ pub fn matmul_i8_nt_into(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize
     assert_eq!(a.len(), m * k, "lhs length mismatch");
     assert_eq!(b.len(), n * k, "rhs length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if k > 0 && simd::nt_dispatch(a, b, out, k, n) {
+    if let Some(isa) = crate::simd::Isa::detect() {
+        isa.i8_nt(a, b, out, k, n);
         return;
     }
     nt_scalar(a, b, out, k, n);
@@ -90,7 +91,7 @@ pub fn matmul_i8_nt_into(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize
 
 /// Portable body of [`matmul_i8_nt_into`]: four independent accumulators per
 /// dot product for instruction-level parallelism (exact re-association).
-fn nt_scalar(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize) {
+pub(crate) fn nt_scalar(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize) {
     for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
         for (slot, b_row) in out_row.iter_mut().zip(b.chunks_exact(k)) {
             let mut acc = [0i32; 4];
@@ -141,14 +142,15 @@ pub fn matmul_i16_pairs_into(a: &[i16], b: &[i16], out: &mut [i32], k: usize, n:
     assert_eq!(a.len(), m * k, "lhs length mismatch");
     assert_eq!(b.len(), k * n, "rhs length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if k > 0 && simd::pairs_dispatch(a, b, out, k, n) {
+    if let Some(isa) = crate::simd::Isa::detect() {
+        isa.i16_pairs(a, b, out, k, n);
         return;
     }
     pairs_scalar(a, b, out, k, n);
 }
 
 /// Portable body of [`matmul_i16_pairs_into`].
-fn pairs_scalar(a: &[i16], b: &[i16], out: &mut [i32], k: usize, n: usize) {
+pub(crate) fn pairs_scalar(a: &[i16], b: &[i16], out: &mut [i32], k: usize, n: usize) {
     for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
         for (j, slot) in out_row.iter_mut().enumerate() {
             let mut sum = 0i32;
@@ -157,433 +159,6 @@ fn pairs_scalar(a: &[i16], b: &[i16], out: &mut [i32], k: usize, n: usize) {
                 sum += a_row[2 * p] as i32 * pair[0] as i32 + a_row[2 * p + 1] as i32 * pair[1] as i32;
             }
             *slot = sum;
-        }
-    }
-}
-
-/// Runtime-dispatched x86-64 SIMD bodies of [`matmul_i8_nt_into`].
-///
-/// The one sanctioned `unsafe` island in the workspace: `core::arch`
-/// intrinsics are unsafe to call by construction, and the features they
-/// need are only known at runtime. The exposure is kept minimal — the
-/// public API stays fully safe, every kernel is bounds-pinned by
-/// [`matmul_i8_nt_into`]'s asserts before dispatch, and
-/// `simd_dispatch_matches_scalar_kernel` pins each body to the portable
-/// scalar kernel bit for bit (integer accumulation is exact, so
-/// re-association cannot diverge).
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    #![allow(unsafe_code)]
-
-    /// Picks the widest available body and runs it; `false` means no SIMD
-    /// feature is available and the caller must use the scalar kernel.
-    pub(super) fn nt_dispatch(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize) -> bool {
-        if is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512bw")
-            && is_x86_feature_detected!("avx512vl")
-        {
-            // SAFETY: the required target features were just detected, and
-            // the caller's asserts pin every slice length the kernel reads.
-            unsafe { nt_avx512(a, b, out, k, n) };
-            return true;
-        }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: as above, for the AVX2 body.
-            unsafe { nt_avx2(a, b, out, k, n) };
-            return true;
-        }
-        false
-    }
-
-    /// Picks the widest available body of the pair-interleaved kernel;
-    /// `false` means no SIMD feature is available and the caller must use
-    /// the scalar one.
-    pub(super) fn pairs_dispatch(a: &[i16], b: &[i16], out: &mut [i32], k: usize, n: usize) -> bool {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
-            // SAFETY: the required target features were just detected, and
-            // the caller's asserts pin every slice length the kernel reads.
-            unsafe { pairs_avx512(a, b, out, k, n) };
-            return true;
-        }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: as above, for the AVX2 body.
-            unsafe { pairs_avx2(a, b, out, k, n) };
-            return true;
-        }
-        false
-    }
-
-    /// AVX-512 body of the pair-interleaved kernel: one `vpbroadcastd` of an
-    /// `a` tap pair against a full-width load of 16 interleaved `b` column
-    /// pairs per `vpmaddwd` — 32 MACs finishing 16 `i32` column partials,
-    /// accumulated vertically across `k` and stored without any lane
-    /// reduction. The main block tiles four output rows over 64 columns
-    /// (sixteen accumulators) so every `b` load is shared four ways — the
-    /// kernel re-streams `b` from L2 per row tile, so this quarters its
-    /// bandwidth demand. Leftover columns run 16-wide, then one masked tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx512f` and `avx512bw` are available and that
-    /// the slice lengths satisfy `matmul_i16_pairs_into`'s contract.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn pairs_avx512(a: &[i16], b: &[i16], out: &mut [i32], k: usize, n: usize) {
-        use std::arch::x86_64::{
-            __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_mask_storeu_epi32,
-            _mm512_maskz_loadu_epi16, _mm512_set1_epi32, _mm512_setzero_si512, _mm512_storeu_si512,
-        };
-        let m = out.len() / n;
-        let pairs = k / 2;
-        let (a_ptr, b_ptr, out_ptr) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut r0 = 0usize;
-        while r0 < m {
-            let rows = (m - r0).min(4);
-            let mut j = 0usize;
-            while j + 64 <= n {
-                let mut acc = [[_mm512_setzero_si512(); 4]; 4];
-                for p in 0..pairs {
-                    let base = b_ptr.add(p * 2 * n + 2 * j);
-                    let vb = [
-                        _mm512_loadu_si512(base.cast::<__m512i>()),
-                        _mm512_loadu_si512(base.add(32).cast::<__m512i>()),
-                        _mm512_loadu_si512(base.add(64).cast::<__m512i>()),
-                        _mm512_loadu_si512(base.add(96).cast::<__m512i>()),
-                    ];
-                    for (t, row_acc) in acc[..rows].iter_mut().enumerate() {
-                        // both taps of the pair in one 32-bit broadcast —
-                        // the row is even-length, so the read is in bounds
-                        let va =
-                            _mm512_set1_epi32(a_ptr.add((r0 + t) * k + 2 * p).cast::<i32>().read_unaligned());
-                        for (slot, &vbu) in row_acc.iter_mut().zip(&vb) {
-                            *slot = _mm512_add_epi32(*slot, _mm512_madd_epi16(va, vbu));
-                        }
-                    }
-                }
-                for (t, row_acc) in acc[..rows].iter().enumerate() {
-                    let o_row = out_ptr.add((r0 + t) * n);
-                    for (u, &slot) in row_acc.iter().enumerate() {
-                        _mm512_storeu_si512(o_row.add(j + 16 * u).cast::<__m512i>(), slot);
-                    }
-                }
-                j += 64;
-            }
-            for t in 0..rows {
-                let a_row = a_ptr.add((r0 + t) * k);
-                let o_row = out_ptr.add((r0 + t) * n);
-                let mut jj = j;
-                while jj + 16 <= n {
-                    let mut acc = _mm512_setzero_si512();
-                    for p in 0..pairs {
-                        let va = _mm512_set1_epi32(a_row.add(2 * p).cast::<i32>().read_unaligned());
-                        let vb = _mm512_loadu_si512(b_ptr.add(p * 2 * n + 2 * jj).cast::<__m512i>());
-                        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(va, vb));
-                    }
-                    _mm512_storeu_si512(o_row.add(jj).cast::<__m512i>(), acc);
-                    jj += 16;
-                }
-                if jj < n {
-                    let tail = n - jj;
-                    let load_mask: u32 = (1u32 << (2 * tail)) - 1;
-                    let store_mask: u16 = (1u16 << tail) - 1;
-                    let mut acc = _mm512_setzero_si512();
-                    for p in 0..pairs {
-                        let va = _mm512_set1_epi32(a_row.add(2 * p).cast::<i32>().read_unaligned());
-                        let vb = _mm512_maskz_loadu_epi16(load_mask, b_ptr.add(p * 2 * n + 2 * jj));
-                        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(va, vb));
-                    }
-                    _mm512_mask_storeu_epi32(o_row.add(jj), store_mask, acc);
-                }
-            }
-            r0 += rows;
-        }
-    }
-
-    /// AVX2 body of the pair-interleaved kernel: the same reduction-free
-    /// broadcast/`vpmaddwd` shape at 8 `i32` columns per vector, tiling two
-    /// output rows over 32 columns (eight accumulators — the 16-register
-    /// file caps the tile) so every `b` load is shared, with a scalar
-    /// column tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx2` is available and that the slice lengths
-    /// satisfy `matmul_i16_pairs_into`'s contract.
-    #[target_feature(enable = "avx2")]
-    unsafe fn pairs_avx2(a: &[i16], b: &[i16], out: &mut [i32], k: usize, n: usize) {
-        use std::arch::x86_64::{
-            __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
-            _mm256_setzero_si256, _mm256_storeu_si256,
-        };
-        let m = out.len() / n;
-        let pairs = k / 2;
-        let (a_ptr, b_ptr, out_ptr) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut r0 = 0usize;
-        while r0 < m {
-            let rows = (m - r0).min(2);
-            let mut j = 0usize;
-            while j + 32 <= n {
-                let mut acc = [[_mm256_setzero_si256(); 4]; 2];
-                for p in 0..pairs {
-                    let base = b_ptr.add(p * 2 * n + 2 * j);
-                    let vb = [
-                        _mm256_loadu_si256(base.cast::<__m256i>()),
-                        _mm256_loadu_si256(base.add(16).cast::<__m256i>()),
-                        _mm256_loadu_si256(base.add(32).cast::<__m256i>()),
-                        _mm256_loadu_si256(base.add(48).cast::<__m256i>()),
-                    ];
-                    for (t, row_acc) in acc[..rows].iter_mut().enumerate() {
-                        let va =
-                            _mm256_set1_epi32(a_ptr.add((r0 + t) * k + 2 * p).cast::<i32>().read_unaligned());
-                        for (slot, &vbu) in row_acc.iter_mut().zip(&vb) {
-                            *slot = _mm256_add_epi32(*slot, _mm256_madd_epi16(va, vbu));
-                        }
-                    }
-                }
-                for (t, row_acc) in acc[..rows].iter().enumerate() {
-                    let o_row = out_ptr.add((r0 + t) * n);
-                    for (u, &slot) in row_acc.iter().enumerate() {
-                        _mm256_storeu_si256(o_row.add(j + 8 * u).cast::<__m256i>(), slot);
-                    }
-                }
-                j += 32;
-            }
-            for t in 0..rows {
-                let a_row = a_ptr.add((r0 + t) * k);
-                let o_row = out_ptr.add((r0 + t) * n);
-                let mut jj = j;
-                while jj + 8 <= n {
-                    let mut acc = _mm256_setzero_si256();
-                    for p in 0..pairs {
-                        let va = _mm256_set1_epi32(a_row.add(2 * p).cast::<i32>().read_unaligned());
-                        let vb = _mm256_loadu_si256(b_ptr.add(p * 2 * n + 2 * jj).cast::<__m256i>());
-                        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-                    }
-                    _mm256_storeu_si256(o_row.add(jj).cast::<__m256i>(), acc);
-                    jj += 8;
-                }
-                while jj < n {
-                    let a_slice = std::slice::from_raw_parts(a_row, k);
-                    let mut sum = 0i32;
-                    for (p, pair) in a_slice.chunks_exact(2).enumerate() {
-                        let bb = b_ptr.add(p * 2 * n + 2 * jj);
-                        sum += pair[0] as i32 * bb.read() as i32 + pair[1] as i32 * bb.add(1).read() as i32;
-                    }
-                    *o_row.add(jj) = sum;
-                    jj += 1;
-                }
-            }
-            r0 += rows;
-        }
-    }
-
-    /// Picks the widest available body of the widen-interleave pass;
-    /// `false` means the caller must use its scalar loop.
-    pub(super) fn interleave_dispatch(r0: &[i8], r1: &[i8], dst: &mut [i16]) -> bool {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
-            // SAFETY: the required target features were just detected, and
-            // the caller slices `r0`/`r1`/`dst` to consistent lengths.
-            unsafe { interleave_avx512(r0, r1, dst) };
-            return true;
-        }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: as above, for the AVX2 body.
-            unsafe { interleave_avx2(r0, r1, dst) };
-            return true;
-        }
-        false
-    }
-
-    /// AVX-512 body of the widen-interleave pass: two 32-byte row segments
-    /// sign-extend to `i16` and one pair of `vpermt2w` shuffles interleaves
-    /// them into two full-width stores; scalar tail under 32 columns.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx512f` and `avx512bw` are available and that
-    /// `r0.len() == r1.len()` and `dst.len() == 2 · r0.len()`.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn interleave_avx512(r0: &[i8], r1: &[i8], dst: &mut [i16]) {
-        use std::arch::x86_64::{
-            __m256i, __m512i, _mm256_loadu_si256, _mm512_cvtepi8_epi16, _mm512_loadu_si512,
-            _mm512_permutex2var_epi16, _mm512_storeu_si512,
-        };
-        let l = r0.len();
-        // `vpermt2w` index vectors: lane t of the low (high) result selects
-        // element t/2 of the first (second) 16-column half from `a` when t is
-        // even, from `b` (offset 32) when t is odd
-        let mut idx = [[0i16; 32]; 2];
-        for t in 0..16 {
-            idx[0][2 * t] = t as i16;
-            idx[0][2 * t + 1] = t as i16 + 32;
-            idx[1][2 * t] = t as i16 + 16;
-            idx[1][2 * t + 1] = t as i16 + 48;
-        }
-        let vi0 = _mm512_loadu_si512(idx[0].as_ptr().cast::<__m512i>());
-        let vi1 = _mm512_loadu_si512(idx[1].as_ptr().cast::<__m512i>());
-        let mut j = 0usize;
-        while j + 32 <= l {
-            let va = _mm512_cvtepi8_epi16(_mm256_loadu_si256(r0.as_ptr().add(j).cast::<__m256i>()));
-            let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(r1.as_ptr().add(j).cast::<__m256i>()));
-            let lo = _mm512_permutex2var_epi16(va, vi0, vb);
-            let hi = _mm512_permutex2var_epi16(va, vi1, vb);
-            _mm512_storeu_si512(dst.as_mut_ptr().add(2 * j).cast::<__m512i>(), lo);
-            _mm512_storeu_si512(dst.as_mut_ptr().add(2 * j + 32).cast::<__m512i>(), hi);
-            j += 32;
-        }
-        for jj in j..l {
-            dst[2 * jj] = r0[jj] as i16;
-            dst[2 * jj + 1] = r1[jj] as i16;
-        }
-    }
-
-    /// AVX2 body of the widen-interleave pass: in-lane `vpunpck` interleaves
-    /// with a cross-lane fixup permute; scalar tail under 16 columns.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx2` is available and that `r0.len() == r1.len()`
-    /// and `dst.len() == 2 · r0.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn interleave_avx2(r0: &[i8], r1: &[i8], dst: &mut [i16]) {
-        use std::arch::x86_64::{
-            __m128i, __m256i, _mm256_cvtepi8_epi16, _mm256_permute2x128_si256, _mm256_storeu_si256,
-            _mm256_unpackhi_epi16, _mm256_unpacklo_epi16, _mm_loadu_si128,
-        };
-        let l = r0.len();
-        let mut j = 0usize;
-        while j + 16 <= l {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(r0.as_ptr().add(j).cast::<__m128i>()));
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(r1.as_ptr().add(j).cast::<__m128i>()));
-            let lo = _mm256_unpacklo_epi16(va, vb);
-            let hi = _mm256_unpackhi_epi16(va, vb);
-            let out0 = _mm256_permute2x128_si256(lo, hi, 0x20);
-            let out1 = _mm256_permute2x128_si256(lo, hi, 0x31);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(2 * j).cast::<__m256i>(), out0);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(2 * j + 16).cast::<__m256i>(), out1);
-            j += 16;
-        }
-        for jj in j..l {
-            dst[2 * jj] = r0[jj] as i16;
-            dst[2 * jj + 1] = r1[jj] as i16;
-        }
-    }
-
-    /// AVX-512 body: 32 `i8` taps per `vpmaddwd`, four `a` rows sharing
-    /// every `b`-row load, masked loads for the `k % 32` tail so short conv
-    /// patches (e.g. `ic·k·k = 27`) stay fully vectorized.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx512f`, `avx512bw` and `avx512vl` are available
-    /// and that the slice lengths satisfy [`matmul_i8_nt_into`]'s contract.
-    ///
-    /// [`matmul_i8_nt_into`]: super::matmul_i8_nt_into
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-    unsafe fn nt_avx512(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize) {
-        use std::arch::x86_64::{
-            __m256i, _mm256_loadu_si256, _mm256_maskz_loadu_epi8, _mm512_add_epi32, _mm512_cvtepi8_epi16,
-            _mm512_madd_epi16, _mm512_reduce_add_epi32, _mm512_setzero_si512,
-        };
-        let m = out.len() / n;
-        let tail = k % 32;
-        let body = k - tail;
-        let tail_mask: u32 = if tail == 0 { 0 } else { (1u32 << tail) - 1 };
-        let (a_ptr, b_ptr) = (a.as_ptr(), b.as_ptr());
-        let mut i0 = 0usize;
-        while i0 < m {
-            let rows = (m - i0).min(4);
-            for j in 0..n {
-                let bj = b_ptr.add(j * k);
-                let mut acc = [_mm512_setzero_si512(); 4];
-                let mut kk = 0usize;
-                while kk < body {
-                    let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(bj.add(kk).cast::<__m256i>()));
-                    for (t, slot) in acc[..rows].iter_mut().enumerate() {
-                        let va = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-                            a_ptr.add((i0 + t) * k + kk).cast::<__m256i>(),
-                        ));
-                        *slot = _mm512_add_epi32(*slot, _mm512_madd_epi16(va, vb));
-                    }
-                    kk += 32;
-                }
-                if tail != 0 {
-                    let vb = _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(tail_mask, bj.add(kk)));
-                    for (t, slot) in acc[..rows].iter_mut().enumerate() {
-                        let va = _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(
-                            tail_mask,
-                            a_ptr.add((i0 + t) * k + kk),
-                        ));
-                        *slot = _mm512_add_epi32(*slot, _mm512_madd_epi16(va, vb));
-                    }
-                }
-                for (t, &slot) in acc[..rows].iter().enumerate() {
-                    out[(i0 + t) * n + j] = _mm512_reduce_add_epi32(slot);
-                }
-            }
-            i0 += rows;
-        }
-    }
-
-    /// AVX2 body: 16 `i8` taps per `vpmaddwd`, four `a` rows sharing every
-    /// `b`-row load, scalar `k % 16` tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `avx2` is available and that the slice lengths
-    /// satisfy [`matmul_i8_nt_into`]'s contract.
-    ///
-    /// [`matmul_i8_nt_into`]: super::matmul_i8_nt_into
-    #[target_feature(enable = "avx2")]
-    unsafe fn nt_avx2(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize) {
-        use std::arch::x86_64::{
-            __m128i, __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
-            _mm256_extracti128_si256, _mm256_madd_epi16, _mm256_setzero_si256, _mm_add_epi32,
-            _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32,
-        };
-        /// Horizontal sum of the eight `i32` lanes.
-        ///
-        /// # Safety
-        ///
-        /// Caller must ensure `avx2` is available.
-        #[target_feature(enable = "avx2")]
-        unsafe fn hsum(v: __m256i) -> i32 {
-            let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
-            _mm_cvtsi128_si32(s)
-        }
-        let m = out.len() / n;
-        let tail = k % 16;
-        let body = k - tail;
-        let (a_ptr, b_ptr) = (a.as_ptr(), b.as_ptr());
-        let mut i0 = 0usize;
-        while i0 < m {
-            let rows = (m - i0).min(4);
-            for j in 0..n {
-                let bj = b_ptr.add(j * k);
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = [_mm256_setzero_si256(); 4];
-                let mut kk = 0usize;
-                while kk < body {
-                    let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(bj.add(kk).cast::<__m128i>()));
-                    for (t, slot) in acc[..rows].iter_mut().enumerate() {
-                        let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                            a_ptr.add((i0 + t) * k + kk).cast::<__m128i>(),
-                        ));
-                        *slot = _mm256_add_epi32(*slot, _mm256_madd_epi16(va, vb));
-                    }
-                    kk += 16;
-                }
-                for (t, &slot) in acc[..rows].iter().enumerate() {
-                    let mut sum = hsum(slot);
-                    let a_row = &a[(i0 + t) * k..(i0 + t) * k + k];
-                    for kx in body..k {
-                        sum += a_row[kx] as i32 * b_row[kx] as i32;
-                    }
-                    out[(i0 + t) * n + j] = sum;
-                }
-            }
-            i0 += rows;
         }
     }
 }
@@ -799,13 +374,11 @@ pub fn interleave_widen_pairs(src: &[i8], rows: usize, l: usize, dst: &mut [i16]
         let r1 = &src[(2 * p + 1) * l..(2 * p + 1) * l + l];
         let d = &mut dst[p * 2 * l..(p + 1) * 2 * l];
         #[cfg(target_arch = "x86_64")]
-        if simd::interleave_dispatch(r0, r1, d) {
+        if let Some(isa) = crate::simd::Isa::detect() {
+            isa.interleave(r0, r1, d);
             continue;
         }
-        for j in 0..l {
-            d[2 * j] = r0[j] as i16;
-            d[2 * j + 1] = r1[j] as i16;
-        }
+        interleave_scalar(r0, r1, d);
     }
     if rows_pad != rows {
         let r0 = &src[(rows - 1) * l..];
@@ -814,6 +387,15 @@ pub fn interleave_widen_pairs(src: &[i8], rows: usize, l: usize, dst: &mut [i16]
             d[2 * j] = r0[j] as i16;
             d[2 * j + 1] = 0;
         }
+    }
+}
+
+/// Portable body of one row pair of [`interleave_widen_pairs`]:
+/// `dst[2j] = r0[j]`, `dst[2j + 1] = r1[j]`, widened to `i16`.
+pub(crate) fn interleave_scalar(r0: &[i8], r1: &[i8], dst: &mut [i16]) {
+    for ((d, &x0), &x1) in dst.chunks_exact_mut(2).zip(r0).zip(r1) {
+        d[0] = x0 as i16;
+        d[1] = x1 as i16;
     }
 }
 

@@ -7,9 +7,12 @@
 //! * [`Tensor`] — an owned, contiguous, row-major `f32` tensor with an
 //!   arbitrary number of dimensions (networks use NCHW).
 //! * [`Shape`] — a lightweight dimension list with explicit validation.
-//! * [`matmul`], [`matmul_tn`], [`matmul_nt`] — cache-blocked, multi-threaded
-//!   matrix products (the only compute-heavy primitives the workspace needs).
-//! * [`im2col`]/[`col2im`] — the standard convolution lowering used by
+//! * [`matmul()`], [`matmul_tn`], [`matmul_nt`] — multi-threaded matrix
+//!   products (the only compute-heavy primitives the workspace needs): on
+//!   x86-64, runtime-dispatched AVX-512/AVX2 register-blocked bodies; the
+//!   cache-blocked, four-coefficient-unrolled scalar kernel is their twin on
+//!   every other host and the reference they are tested against bit for bit.
+//! * [`im2col()`]/[`col2im`] — the standard convolution lowering used by
 //!   `ftclip-nn`'s `Conv2d` forward and backward passes.
 //!
 //! # Example
@@ -29,9 +32,12 @@
 //!   single-precision weight words, so the memory representation of
 //!   parameters must be exactly `f32`.
 //! * `unsafe` is denied workspace-wide with one sanctioned exception: the
-//!   runtime-dispatched x86-64 SIMD bodies of the int8 kernels (see
-//!   `int8::simd`), which `core::arch` makes unavoidably unsafe. Every
-//!   other crate still forbids it outright.
+//!   runtime-dispatched x86-64 SIMD bodies of the `f32` and int8 kernels
+//!   (the private `simd` module), which `core::arch` makes unavoidably
+//!   unsafe. Every other crate still forbids it outright.
+//! * SIMD never changes a result bit: `f32` lanes are distinct output
+//!   elements, each replaying the scalar ascending-`k` chain with a separate
+//!   multiply and add (never FMA), and int8 accumulation is exact.
 //! * Threading uses `std::thread::scope`; no runtime dependency is needed.
 
 #![deny(unsafe_code)]
@@ -45,6 +51,8 @@ mod int8;
 mod matmul;
 mod par;
 mod shape;
+#[cfg(target_arch = "x86_64")]
+mod simd;
 mod tensor;
 
 pub use error::TensorError;

@@ -7,19 +7,27 @@
 //! * [`matmul_nt`] — `C = A · Bᵀ`      (weight-gradient and linear forward)
 //!
 //! All variants parallelize over contiguous bands of output rows
-//! ([`crate::par_row_bands`]) and run cache-blocked micro-kernels inside each
-//! band: the output row is tiled into [`J_TILE`]-column strips that stay in
-//! L1, the reduction dimension is cut into [`K_BLOCK`]-row panels of `B` that
-//! are reused across every row of the band while L2-resident, and the
-//! innermost loop unrolls four `a_ik` coefficients per pass over the strip.
+//! ([`crate::par_row_bands`]). Inside a band, x86-64 hosts run the
+//! runtime-dispatched AVX-512 or AVX2 body of the `simd` module: register
+//! tiles of four output rows by 64 (AVX-512) or 16 (AVX2) columns,
+//! accumulated over `k` panels with one broadcast coefficient per step.
+//! `matmul_nt` transposes the live `B` into a `[k, n]` panel once per call so
+//! the same body runs over output columns. Every other host runs the scalar
+//! twin: the output row is tiled into [`J_TILE`]-column strips that stay in
+//! L1, the reduction dimension is cut into [`K_BLOCK`]-row panels of `B`
+//! reused across every row of the band while L2-resident, and the innermost
+//! loop unrolls four `a_ik` coefficients per pass over the strip.
 //!
 //! **Bit-exactness contract.** Every output element is accumulated in
-//! ascending-`k` order with one rounding per non-zero `a_ik` — exactly the
-//! naive `i-k-j` kernel's floating-point sequence — and each element is
-//! produced by exactly one thread. Blocking, unrolling and the thread count
-//! therefore change scheduling only, never a single output bit; the
-//! `ftclip_store` campaign cache and the golden figure snapshots survive any
-//! kernel-tuning change that preserves this contract.
+//! ascending-`k` order, one multiply and one add per step, each rounded (never
+//! fused) — exactly the naive `i-k-j` kernel's floating-point sequence — and
+//! each element is produced by exactly one thread. The accumulating kernels
+//! skip a coefficient `== 0.0`; [`matmul_nt`] starts every element at `+0.0`
+//! and multiplies through zeros. SIMD lanes are distinct output elements, so
+//! the vector bodies, blocking, unrolling and the thread count change
+//! scheduling only, never a single output bit; the `ftclip_store` campaign
+//! cache and the golden figure snapshots survive any kernel-tuning change
+//! that preserves this contract.
 
 use crate::par::par_row_bands;
 use crate::Tensor;
@@ -89,14 +97,34 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     });
 }
 
-/// Blocked `band[r] += A[first_row + r] · B`-panel product for one band of
-/// whole output rows, where the band's rows are `row_len` long and the
-/// micro-kernel reads `B` columns `b_col0 .. b_col0 + row_len`.
+/// `band[r] += A[first_row + r] · B` for one band of whole output rows, where
+/// the band's rows are `row_len` long and `B` columns
+/// `b_col0 .. b_col0 + row_len` are read: the SIMD body when the host has
+/// one, else [`accumulate_band_scalar`].
+fn accumulate_band(
+    a: &[f32],
+    b: &[f32],
+    band: &mut [f32],
+    first_row: usize,
+    k: usize,
+    b_stride: usize,
+    row_len: usize,
+    b_col0: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(isa) = crate::simd::Isa::detect() {
+        isa.gemm_band::<true>(a, b, band, first_row, k, b_stride, row_len, b_col0);
+        return;
+    }
+    accumulate_band_scalar(a, b, band, first_row, k, b_stride, row_len, b_col0);
+}
+
+/// Portable twin of [`accumulate_band`]: the blocked scalar kernel.
 ///
 /// Loop order is `j`-strip → `k`-panel → band row, so one L2-resident panel
 /// of `B` serves every row of the band before the next panel is streamed in.
 /// Per output element the accumulation order stays ascending-`k`.
-fn accumulate_band(
+pub(crate) fn accumulate_band_scalar(
     a: &[f32],
     b: &[f32],
     band: &mut [f32],
@@ -413,10 +441,42 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (mc, nc) = c.shape().as_matrix();
     assert_eq!(ka, kb, "matmul_nt trailing dimension mismatch: {} vs {}", a.shape(), b.shape());
     assert_eq!((m, n), (mc, nc), "matmul_nt output shape mismatch");
-    let k = ka;
-    let a_data = a.data();
-    let b_data = b.data();
-    par_row_bands(c.data_mut(), n, |first_row, band| {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(isa) = crate::simd::Isa::detect() {
+        nt_simd(isa, a.data(), b.data(), c.data_mut(), ka, n);
+        return;
+    }
+    nt_scalar(a.data(), b.data(), c.data_mut(), ka, n);
+}
+
+/// Vector path of [`matmul_nt_into`]: the live `B: [n, k]` is transposed
+/// into a `[k, n]` panel once per call (so injected weight faults are read),
+/// then each zero-filled band runs the SIMD body in no-skip mode — every
+/// element's chain starts at `+0.0` and multiplies through zeros, exactly as
+/// [`nt_scalar`]'s does.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn nt_simd(isa: crate::simd::Isa, a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    let mut b_t = vec![0.0f32; k * n];
+    // 16 rows of `B` at a time: each pass writes contiguous 64-byte runs of
+    // the panel while reading 16 sequential streams
+    for j0 in (0..n).step_by(16) {
+        let j1 = (j0 + 16).min(n);
+        for kk in 0..k {
+            for j in j0..j1 {
+                b_t[kk * n + j] = b[j * k + kk];
+            }
+        }
+    }
+    par_row_bands(c, n, |first_row, band| {
+        band.fill(0.0);
+        isa.gemm_band::<false>(a, &b_t, band, first_row, k, n, n, 0);
+    });
+}
+
+/// Portable twin of [`matmul_nt_into`]: one ascending-`k` accumulator chain
+/// per element, starting at `+0.0`.
+pub(crate) fn nt_scalar(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    par_row_bands(c, n, |first_row, band| {
         // tile the band's rows so one L1-resident B row serves a whole tile
         // of dot products before the next B row is streamed in; each dot
         // product remains a single ascending-k accumulator chain
@@ -425,10 +485,10 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
         while r0 < rows {
             let r1 = (r0 + NT_ROW_TILE).min(rows);
             for j in 0..n {
-                let b_row = &b_data[j * k..(j + 1) * k];
+                let b_row = &b[j * k..(j + 1) * k];
                 for r in r0..r1 {
                     let i = first_row + r;
-                    let a_row = &a_data[i * k..(i + 1) * k];
+                    let a_row = &a[i * k..(i + 1) * k];
                     let mut acc = 0.0f32;
                     for (&a_v, &b_v) in a_row.iter().zip(b_row) {
                         acc += a_v * b_v;

@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use ftclip_tensor::{col2im, im2col, matmul, matmul_nt, matmul_tn, Conv2dGeometry, Tensor};
+use ftclip_tensor::{col2im, gemm_accumulate, im2col, matmul, matmul_nt, matmul_tn, Conv2dGeometry, Tensor};
 use proptest::prelude::*;
 
 /// The reference the blocked kernel must replay bit-for-bit: a naive
@@ -42,6 +42,34 @@ fn nonzero_fill(dims: &[usize], seed: u64) -> Tensor {
         })
         .collect();
     Tensor::from_vec(data, dims).unwrap()
+}
+
+/// [`nonzero_fill`] with about one element in five replaced by an exact
+/// `0.0` or `-0.0` and, with `non_finite`, about one in ten by `±inf` or NaN.
+fn special_fill(dims: &[usize], seed: u64, non_finite: bool) -> Tensor {
+    let mut t = nonzero_fill(dims, seed);
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        let x = ((i as u64).wrapping_mul(2862933555777941757).wrapping_add(seed ^ 0x5bd1) >> 29) % 40;
+        *v = match x {
+            0..=3 => 0.0,
+            4..=7 => -0.0,
+            8 | 9 if non_finite => f32::INFINITY,
+            10 if non_finite => f32::NEG_INFINITY,
+            11 | 12 if non_finite => f32::NAN,
+            _ => *v,
+        };
+    }
+    t
+}
+
+/// Bitwise equality, except that any NaN matches any NaN (IEEE 754 leaves
+/// the propagated payload unspecified, and x86 picks it by operand order).
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
 }
 
 /// The blocked kernel must be bit-identical to the naive triple loop on the
@@ -187,6 +215,53 @@ proptest! {
         let a = nonzero_fill(&[m, k], sa);
         let b = nonzero_fill(&[k, n], sb);
         prop_assert_eq!(bits(&matmul(&a, &b)), bits(&naive_matmul(&a, &b)));
+
+        // the plan's slice entry point with exact-zero (and -0.0)
+        // coefficients on top of a seeded output (zeros included): each
+        // element must replay the skip reference — a zero coefficient adds
+        // nothing, so a -0.0 output stays -0.0
+        let a = special_fill(&[m, k], sa, false);
+        let c0 = special_fill(&[m, n], sa ^ sb, false);
+        let mut got = c0.data().to_vec();
+        gemm_accumulate(a.data(), b.data(), &mut got, k, n);
+        let mut want = c0.data().to_vec();
+        for i in 0..m {
+            for kk in 0..k {
+                let a_ik = a.at2(i, kk);
+                if a_ik == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    want[i * n + j] += a_ik * b.at2(kk, j);
+                }
+            }
+        }
+        prop_assert_eq!(got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn matmul_nt_bitwise_matches_the_dot_chain(
+        m in 1usize..12, k in 1usize..140, n in 1usize..80,
+        sa in 0u64..1000, sb in 0u64..1000,
+    ) {
+        // the linear kernel's chain starts at +0.0 and multiplies through
+        // zero coefficients (no skip): 0·inf must still poison the element
+        // with NaN, and a sum of -0.0 products must come out +0.0
+        let a = special_fill(&[m, k], sa, false);
+        let b = special_fill(&[n, k], sb, true);
+        let got = matmul_nt(&a, &b);
+        let mut want = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a.at2(i, kk) * b.at2(j, kk);
+                }
+                want[i * n + j] = acc;
+            }
+        }
+        prop_assert!(same_bits(got.data(), &want), "matmul_nt diverged from the dot chain on [{},{}]·[{},{}]ᵀ", m, k, n, k);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use ftclip_fault::{
 use ftclip_models::alexnet_cifar_with_activation;
 use ftclip_nn::sched::LrSchedule;
 use ftclip_nn::{evaluate, Activation, OptimizerKind, Sequential, Trainer};
+use ftclip_quant::Precision;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,7 +66,7 @@ pub fn clip_mode(ctx: &mut RunContext) -> Result<(), SpecError> {
     let mut results = Vec::new();
     for (name, net) in variants {
         eprintln!("[ablation] campaign on {name} …");
-        let session = ctx.campaign_session("ablation_clip_mode", &net, campaign.config());
+        let session = ctx.campaign_session("ablation_clip_mode", &net, campaign.config(), Precision::F32);
         let res = campaign.run(&net, ftclip_tensor::num_threads(), &session, eval.suffix_eval());
         results.push((name, res));
     }
@@ -118,7 +119,8 @@ pub fn fault_models(ctx: &mut RunContext) -> Result<(), SpecError> {
             cfg.target = ctx.spec.target.resolve(&net)?;
             let campaign = Campaign::new(cfg);
             eprintln!("[ablation] {model} on {net_name} …");
-            let session = ctx.campaign_session("ablation_fault_models", &net, campaign.config());
+            let session =
+                ctx.campaign_session("ablation_fault_models", &net, campaign.config(), Precision::F32);
             let res = campaign.run(&net, ftclip_tensor::num_threads(), &session, eval.suffix_eval());
             let means = res.mean_accuracies();
             for (i, &rate) in res.fault_rates.iter().enumerate() {
@@ -177,7 +179,8 @@ pub fn bias_faults(ctx: &mut RunContext) -> Result<(), SpecError> {
                 .map_err(SpecError::Campaign)?;
             cfg.target = target;
             let campaign = Campaign::new(cfg);
-            let session = ctx.campaign_session("ablation_bias_faults", &net, campaign.config());
+            let session =
+                ctx.campaign_session("ablation_bias_faults", &net, campaign.config(), Precision::F32);
             let res = campaign.run(&net, ftclip_tensor::num_threads(), &session, eval.suffix_eval());
             let means = res.mean_accuracies();
             outln!(
@@ -358,9 +361,10 @@ pub fn leaky_clip(ctx: &mut RunContext) -> Result<(), SpecError> {
     cfg.target = ctx.spec.target.resolve(&net)?;
     let campaign = Campaign::new(cfg);
     eprintln!("[ablation] campaigns …");
-    let unprot_session = ctx.campaign_session("ablation_leaky_clip", &net, campaign.config());
+    let unprot_session = ctx.campaign_session("ablation_leaky_clip", &net, campaign.config(), Precision::F32);
     let unprotected = campaign.run(&net, ftclip_tensor::num_threads(), &unprot_session, eval.suffix_eval());
-    let prot_session = ctx.campaign_session("ablation_leaky_clip", &clipped, campaign.config());
+    let prot_session =
+        ctx.campaign_session("ablation_leaky_clip", &clipped, campaign.config(), Precision::F32);
     let protected = campaign.run(&clipped, ftclip_tensor::num_threads(), &prot_session, eval.suffix_eval());
 
     outln!(ctx, "Ablation — clipped Leaky-ReLU (slope 0.01, thresholds = ACT_max)\n");

@@ -11,9 +11,8 @@ use ftclip_core::{
 };
 use ftclip_fault::{BitPosition, Campaign, CampaignResult, FaultModel, Injection, InjectionTarget};
 use ftclip_models::{model_size_report, ZooArch};
-use ftclip_nn::{Activation, Layer, Sequential};
+use ftclip_nn::{Activation, Layer, Scratch, Sequential, Span};
 use ftclip_quant::{Precision, QuantizedPlan};
-use ftclip_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,22 +40,14 @@ pub fn model_sizes(ctx: &mut RunContext) -> Result<(), SpecError> {
 /// Fig. 2 — the LeNet-5 feature-map progression (structural figure).
 pub fn architecture(ctx: &mut RunContext) -> Result<(), SpecError> {
     let net = ftclip_models::lenet5(10, 0);
-    let x = Tensor::zeros(&[1, 1, 32, 32]);
-    let (_, records) = net.forward_recording(&x);
+    let plan = net.plan(&[1, 1, 32, 32]);
+    let output_dims = |i: usize| &plan.shape_at(i + 1).expect("a full plan knows every shape")[1..];
 
     outln!(ctx, "Fig. 2 — LeNet-5 feature-map progression (input 1×32×32)\n");
     outln!(ctx, "{:<6} {:<12} {:<16} {:>10}", "layer", "kind", "output", "params");
-    for (i, rec) in records.iter().enumerate() {
-        let dims = rec.output.shape().dims();
-        let shape = dims[1..].iter().map(|d| d.to_string()).collect::<Vec<_>>().join("×");
-        outln!(
-            ctx,
-            "{:<6} {:<12} {:<16} {:>10}",
-            i,
-            rec.kind.to_string(),
-            shape,
-            net.layers()[i].param_count()
-        );
+    for (i, layer) in net.layers().iter().enumerate() {
+        let shape = output_dims(i).iter().map(|d| d.to_string()).collect::<Vec<_>>().join("×");
+        outln!(ctx, "{:<6} {:<12} {:<16} {:>10}", i, layer.kind().to_string(), shape, layer.param_count());
     }
     outln!(ctx, "\ncomputational layers: {:?}", net.computational_names());
     outln!(ctx, "total parameters: {}", net.param_count());
@@ -64,9 +55,7 @@ pub fn architecture(ctx: &mut RunContext) -> Result<(), SpecError> {
     // the exact annotations of the paper's figure
     let expect =
         [(0usize, vec![6usize, 28, 28]), (2, vec![6, 14, 14]), (3, vec![16, 10, 10]), (5, vec![16, 5, 5])];
-    let ok = expect
-        .iter()
-        .all(|(idx, dims)| records[*idx].output.shape().dims()[1..] == dims[..]);
+    let ok = expect.iter().all(|(idx, dims)| output_dims(*idx) == &dims[..]);
     outln!(ctx, "shape check: feature maps match Fig. 2 annotations ({ok})");
     if !ok {
         ctx.fail("LeNet-5 feature maps diverged from the Fig. 2 annotations".to_string());
@@ -160,7 +149,7 @@ pub fn campaign_summary(ctx: &mut RunContext) -> Result<(), SpecError> {
     let max_reps = cfg.stopping.map_or(cfg.repetitions, |rule| rule.max_reps);
     let result = match ctx.spec.precision {
         Precision::F32 => {
-            let session = ctx.campaign_session("campaign-summary", &net, &cfg);
+            let session = ctx.campaign_session("campaign-summary", &net, &cfg, Precision::F32);
             // the suffix evaluator re-executes only the layers below each
             // cell's earliest fault, reusing memoized clean prefix
             // activations — bit-identical to the full-forward closure it
@@ -169,8 +158,7 @@ pub fn campaign_summary(ctx: &mut RunContext) -> Result<(), SpecError> {
         }
         Precision::Int8 => {
             let plan = quantized_twin(ctx, &workload, &net);
-            let session =
-                ctx.campaign_session_with_precision("campaign-summary", &net, &cfg, Precision::Int8);
+            let session = ctx.campaign_session("campaign-summary", &net, &cfg, Precision::Int8);
             let batch = ctx.spec.eval_batch;
             Campaign::new(cfg).run(&plan, ftclip_tensor::num_threads(), &session, |p: &QuantizedPlan| {
                 p.accuracy(eval.images(), eval.labels(), batch)
@@ -340,7 +328,7 @@ pub fn bit_position_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
         let mut scfg = cfg.clone();
         scfg.model = FaultModel::BitFlipAt(pos);
         eprintln!("[{}] f32 {pos} stratum: {} rates × {} reps", ctx.spec.name, rates.len(), scfg.repetitions);
-        let session = ctx.campaign_session(&format!("bitpos-f32-{pos}"), &net, &scfg);
+        let session = ctx.campaign_session(&format!("bitpos-f32-{pos}"), &net, &scfg, Precision::F32);
         let result = Campaign::new(scfg).run(&net, ftclip_tensor::num_threads(), &session, suffix.clone());
         let means = bitpos_rows(ctx, &mut table, Precision::F32, pos, &rates, &result)?;
         curves.push((Precision::F32, pos, means, result.clean_accuracy));
@@ -354,8 +342,7 @@ pub fn bit_position_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
             rates.len(),
             scfg.repetitions
         );
-        let session =
-            ctx.campaign_session_with_precision(&format!("bitpos-int8-{pos}"), &net, &scfg, Precision::Int8);
+        let session = ctx.campaign_session(&format!("bitpos-int8-{pos}"), &net, &scfg, Precision::Int8);
         let result =
             Campaign::new(scfg).run(&plan, ftclip_tensor::num_threads(), &session, |p: &QuantizedPlan| {
                 p.accuracy(eval.images(), eval.labels(), batch)
@@ -440,7 +427,7 @@ pub fn per_layer_resilience(ctx: &mut RunContext) -> Result<(), SpecError> {
         cfg.seed = ctx.spec.seed ^ layer_index as u64;
         cfg.target = InjectionTarget::Layer(layer_index);
         eprintln!("[fig3] {layer_name}: {} rates × {} reps", cfg.fault_rates.len(), cfg.repetitions);
-        let session = ctx.campaign_session("fig3_per_layer", &net, &cfg);
+        let session = ctx.campaign_session("fig3_per_layer", &net, &cfg, Precision::F32);
         let result = Campaign::new(cfg).run(&net, ftclip_tensor::num_threads(), &session, suffix.clone());
         outln!(ctx, "\n{layer_name} (network layer {layer_index}):");
         outln!(ctx, "{:<12} {:>10} {:>10} {:>10}", "paper_rate", "mean_acc", "min_acc", "max_acc");
@@ -492,6 +479,7 @@ pub fn activation_distributions(ctx: &mut RunContext) -> Result<(), SpecError> {
     outln!(ctx, "(paper rates mapped ×{scale:.1} for the width-scaled memory)\n");
     let draws = ctx.spec.repetitions.clamp(1, 5);
     let layers = ctx.spec.layers.clone();
+    let mut scratch = Scratch::new();
     for layer_name in &layers {
         let layer_index = net
             .layer_index_by_name(layer_name)
@@ -518,9 +506,8 @@ pub fn activation_distributions(ctx: &mut RunContext) -> Result<(), SpecError> {
                     &mut rng,
                 );
                 let handle = injection.apply(&mut net);
-                let (_, records) = net.forward_recording(&batch);
+                let output = net.execute(&batch, Span::prefix(layer_index + 1), &mut scratch);
                 handle.undo(&mut net);
-                let output = &records[layer_index].output;
                 let total = output.len() as f64;
                 let dmax = output
                     .iter()

@@ -302,22 +302,13 @@ impl<'a> RunContext<'a> {
     /// already covers). The clean-accuracy memo key chains the same eval
     /// fields plus the model digest — and nothing campaign-specific, which
     /// is what lets it span campaigns.
-    pub fn campaign_session(
-        &self,
-        experiment: &str,
-        net: &Sequential,
-        config: &CampaignConfig,
-    ) -> SessionCache<'a> {
-        self.campaign_session_with_precision(experiment, net, config, ftclip_quant::Precision::F32)
-    }
-
-    /// [`RunContext::campaign_session`] with an explicit inference
-    /// precision. An int8 campaign evaluates the *quantized twin* of `net`,
-    /// so both the store fingerprint and the clean-accuracy memo key chain
-    /// the precision — the quantized plan's clean accuracy must never be
+    ///
+    /// An int8 campaign evaluates the *quantized twin* of `net`, so both the
+    /// store fingerprint and the clean-accuracy memo key chain the
+    /// `precision` — the quantized plan's clean accuracy must never be
     /// replayed as the f32 network's (or vice versa). `F32` chains nothing,
     /// keeping every historical session key byte-stable.
-    pub fn campaign_session_with_precision(
+    pub fn campaign_session(
         &self,
         experiment: &str,
         net: &Sequential,

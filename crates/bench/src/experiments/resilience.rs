@@ -10,6 +10,7 @@
 
 use ftclip_core::Comparison;
 use ftclip_fault::{Campaign, CampaignResult};
+use ftclip_quant::Precision;
 
 use crate::experiments::{outln, RunContext, RATE_SCALING_DOC};
 use crate::pipeline::harden_network;
@@ -76,12 +77,14 @@ pub fn evaluate_resilience(
     // one suffix evaluator (and thus one prefix-activation cache) per
     // network: the clipped and unprotected twins have different clean
     // activations, so their caches must never mix
-    let protected_session = ctx.campaign_session("resilience", &protected_net, campaign.config());
+    let protected_session =
+        ctx.campaign_session("resilience", &protected_net, campaign.config(), Precision::F32);
     let protected =
         campaign.run(&protected_net, ftclip_tensor::num_threads(), &protected_session, eval.suffix_eval());
     eprintln!("[resilience] protected done, running unprotected …");
     let unprotected_net = workload.model.network.clone();
-    let unprotected_session = ctx.campaign_session("resilience", &unprotected_net, campaign.config());
+    let unprotected_session =
+        ctx.campaign_session("resilience", &unprotected_net, campaign.config(), Precision::F32);
     let unprotected = campaign.run(
         &unprotected_net,
         ftclip_tensor::num_threads(),

@@ -7,7 +7,7 @@
 //! j–l), so the profiler records a histogram alongside the scalar
 //! statistics.
 
-use ftclip_nn::Sequential;
+use ftclip_nn::{Scratch, Sequential, Span};
 use ftclip_tensor::Tensor;
 
 /// Histogram of activation values with linear bins.
@@ -105,10 +105,11 @@ pub fn profile_network(
     assert!(batch_size > 0, "batch size must be positive");
     let sites = net.activation_sites();
     assert!(!sites.is_empty(), "network has no activation sites to profile");
+    assert!(sites[0] > 0, "activation site at layer 0 has no feeding layer");
     let n = images.shape()[0];
 
     // map each activation site to the computational layer feeding it (for
-    // naming); the *input* tensor of the site is records[site − 1].output.
+    // naming)
     let comp_indices = net.computational_indices();
     let comp_names = net.computational_names();
     let name_of_site = |site: usize| -> String {
@@ -120,51 +121,53 @@ pub fn profile_network(
             .unwrap_or_else(|| "INPUT".to_string())
     };
 
+    // One scratch arena for the whole call; every batch walks the sites in
+    // order, handing `visit` each site's input tensor.
+    let mut scratch = Scratch::new();
+    let mut for_each_site_input = |visit: &mut dyn FnMut(usize, &Tensor)| {
+        let mut start = 0usize;
+        while start < n {
+            let end = (start + batch_size).min(n);
+            let mut cur = images.slice_batch(start..end);
+            let mut at = 0usize;
+            for (si, &site) in sites.iter().enumerate() {
+                let next = net.execute(&cur, Span::range(at, site), &mut scratch);
+                scratch.recycle(std::mem::replace(&mut cur, next).into_vec());
+                at = site;
+                visit(si, &cur);
+            }
+            start = end;
+        }
+    };
+
     // pass 1: min / max / mean
     let mut mins = vec![f32::INFINITY; sites.len()];
     let mut maxs = vec![f32::NEG_INFINITY; sites.len()];
     let mut sums = vec![0.0f64; sites.len()];
     let mut counts = vec![0u64; sites.len()];
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + batch_size).min(n);
-        let batch = images.slice_batch(start..end);
-        let (_, records) = net.forward_recording(&batch);
-        for (si, &site) in sites.iter().enumerate() {
-            assert!(site > 0, "activation site at layer 0 has no feeding layer");
-            let input = &records[site - 1].output;
-            mins[si] = mins[si].min(input.min());
-            maxs[si] = maxs[si].max(input.max());
-            sums[si] += input.iter().map(|&v| v as f64).sum::<f64>();
-            counts[si] += input.len() as u64;
-        }
-        start = end;
-    }
+    for_each_site_input(&mut |si, input| {
+        mins[si] = mins[si].min(input.min());
+        maxs[si] = maxs[si].max(input.max());
+        sums[si] += input.iter().map(|&v| v as f64).sum::<f64>();
+        counts[si] += input.len() as u64;
+    });
 
     // pass 2: histograms over the discovered ranges
     let mut histograms: Vec<ActivationHistogram> = mins
         .iter()
         .zip(&maxs)
         .map(|(&lo, &hi)| {
-            let (lo, hi) = if lo < hi { (lo, hi) } else { (lo - 0.5, lo + 0.5) };
+            let (lo, hi) = histogram_range(lo, hi);
             ActivationHistogram { lo, hi, counts: vec![0; bins.max(1)] }
         })
         .collect();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + batch_size).min(n);
-        let batch = images.slice_batch(start..end);
-        let (_, records) = net.forward_recording(&batch);
-        for (si, &site) in sites.iter().enumerate() {
-            let input = &records[site - 1].output;
-            let h = &histograms[si];
-            let merged = ActivationHistogram::build(input.iter().copied(), h.lo, h.hi, h.counts.len());
-            for (acc, add) in histograms[si].counts.iter_mut().zip(merged.counts()) {
-                *acc += add;
-            }
+    for_each_site_input(&mut |si, input| {
+        let h = &histograms[si];
+        let merged = ActivationHistogram::build(input.iter().copied(), h.lo, h.hi, h.counts.len());
+        for (acc, add) in histograms[si].counts.iter_mut().zip(merged.counts()) {
+            *acc += add;
         }
-        start = end;
-    }
+    });
 
     sites
         .iter()
@@ -178,6 +181,22 @@ pub fn profile_network(
             histogram: histograms[si].clone(),
         })
         .collect()
+}
+
+/// A finite, non-empty histogram range covering the observed `[lo, hi]`.
+/// A degenerate range (one repeated value) widens to `lo ± 0.5`, or to the
+/// neighbouring floats once `lo` is so large that `± 0.5` is absorbed; a
+/// site with no finite value (`lo = +inf`) falls back to `[-0.5, 0.5]`.
+fn histogram_range(lo: f32, hi: f32) -> (f32, f32) {
+    if lo < hi {
+        (lo, hi)
+    } else if !lo.is_finite() {
+        (-0.5, 0.5)
+    } else if lo - 0.5 < lo + 0.5 {
+        (lo - 0.5, lo + 0.5)
+    } else {
+        (lo.next_down().max(f32::MIN), lo.next_up().min(f32::MAX))
+    }
 }
 
 #[cfg(test)]
@@ -215,8 +234,7 @@ mod tests {
         let x = ftclip_tensor::uniform_init(&[5, 1, 4, 4], -1.0, 1.0, &mut rand_rng(2));
         let profiles = profile_network(&n, &x, 2, 8);
         // manual: conv output max over the whole set
-        let (_, recs) = n.forward_recording(&x);
-        let manual_max = recs[0].output.max();
+        let manual_max = n.execute(&x, Span::prefix(1), &mut Scratch::new()).max();
         assert!((profiles[0].act_max - manual_max).abs() < 1e-6);
     }
 
@@ -231,6 +249,30 @@ mod tests {
             assert!((pa.mean - pb.mean).abs() < 1e-5);
             assert_eq!(pa.histogram.counts(), pb.histogram.counts());
         }
+    }
+
+    #[test]
+    fn a_site_of_one_large_constant_profiles_without_panicking() {
+        // zero weights and bias 1e8: every value at the ReLU site is 1e8,
+        // where `1e8 ± 0.5` rounds back to 1e8
+        let mut n = Sequential::new(vec![Layer::linear(4, 2, 32), Layer::relu()]);
+        n.visit_params_mut(&mut |_, kind, v, _| {
+            let fill = if kind == ftclip_nn::ParamKind::Bias { 1e8 } else { 0.0 };
+            v.data_mut().fill(fill);
+        });
+        let x = ftclip_tensor::uniform_init(&[3, 4], -1.0, 1.0, &mut rand_rng(4));
+        let profiles = profile_network(&n, &x, 2, 8);
+        assert_eq!(profiles[0].act_max, 1e8);
+        assert_eq!(profiles[0].histogram.total(), 3 * 2);
+    }
+
+    #[test]
+    fn a_site_without_finite_values_gets_a_finite_range() {
+        assert_eq!(histogram_range(f32::INFINITY, f32::NEG_INFINITY), (-0.5, 0.5));
+        assert_eq!(histogram_range(f32::INFINITY, f32::INFINITY), (-0.5, 0.5));
+        assert_eq!(histogram_range(2.0, 2.0), (1.5, 2.5));
+        let (lo, hi) = histogram_range(f32::MAX, f32::MAX);
+        assert!(lo < hi && hi.is_finite());
     }
 
     #[test]

@@ -229,10 +229,10 @@ mod tests {
     #[test]
     fn lenet5_matches_fig2_feature_maps() {
         let net = lenet5(10, 5);
-        let (_, recs) = net.forward_recording(&Tensor::zeros(&[1, 1, 32, 32]));
+        let plan = net.plan(&[1, 1, 32, 32]);
         // Fig. 2: 6×28×28 after CONV-1, 16×10×10 after CONV-2
-        assert_eq!(recs[0].output.shape().dims(), &[1, 6, 28, 28]);
-        assert_eq!(recs[3].output.shape().dims(), &[1, 16, 10, 10]);
+        assert_eq!(plan.shape_at(1), Some(&[1, 6, 28, 28][..]));
+        assert_eq!(plan.shape_at(4), Some(&[1, 16, 10, 10][..]));
         let y = fwd(&net, &Tensor::zeros(&[1, 1, 32, 32]));
         assert_eq!(y.shape().dims(), &[1, 10]);
     }

@@ -24,11 +24,10 @@
 //!   separate scatter or activation passes;
 //! * **elides** inference no-ops (`Dropout`) and turns `Flatten` into a
 //!   zero-copy reshape when the executor owns the buffer;
-//! * **computes buffer liveness** ([`ForwardPlan::peak_scratch_floats`]):
-//!   each node's consumed input is recycled into the [`Scratch`] arena the
-//!   moment its output exists, so the arena's high-water mark is the largest
-//!   adjacent (input + output + gather) working set, not the sum over the
-//!   network.
+//! * **plans buffer liveness**: at execution, each node's consumed input is
+//!   recycled into the [`Scratch`] arena the moment its output exists, so
+//!   the arena's high-water mark is the largest adjacent (input + output +
+//!   gather) working set, not the sum over the network.
 //!
 //! Plans are **pure structure**: nodes hold layer *indices*, never copies of
 //! weights or thresholds. Every execution reads the live parameters from the
@@ -53,8 +52,6 @@
 //!
 //! [`Sequential::plan`] memoizes compiled plans run-wide, keyed by the
 //! network's structural fingerprint plus the (span-entry, input-shape) pair.
-//! Set `FTCLIP_PLAN_CACHE=off` (or `0`/`false`) to compile fresh on every
-//! lookup instead.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -116,48 +113,20 @@ impl Span {
     }
 }
 
-/// One op node of the compiled plan. Nodes hold layer indices only; all
-/// parameters are read live from the network at execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Node {
-    /// Fused convolution (+ bias) with an optional trailing activation and
-    /// an optional trailing max-pool, executed by the gather-direct
-    /// (im2col-elided) kernel. A fused pool consumes each image's conv
-    /// output while it is still cache-hot, so the full-resolution feature
-    /// map never streams to memory.
-    ConvAct { conv: usize, act: Option<usize>, pool: Option<usize> },
-    /// Fused linear (+ bias) with an optional trailing activation.
-    LinearAct { lin: usize, act: Option<usize> },
-    /// `Flatten`: a pure reshape — zero-copy when the buffer is owned.
-    Reshape { layer: usize },
-    /// An inference no-op (`Dropout`), elided entirely.
-    Elided { layer: usize },
-    /// Any other layer, executed through its legacy kernel.
-    Opaque { layer: usize },
-}
-
-impl Node {
-    /// The half-open range of legacy layer indices this node covers.
-    fn layers(&self) -> Range<usize> {
-        match *self {
-            Node::ConvAct { conv, act, pool } => conv..pool.or(act).map_or(conv + 1, |l| l + 1),
-            Node::LinearAct { lin, act } => lin..act.map_or(lin + 1, |a| a + 1),
-            Node::Reshape { layer } | Node::Elided { layer } | Node::Opaque { layer } => layer..layer + 1,
-        }
-    }
-}
-
-/// Public description of one compiled plan node — the fusion decisions of
-/// [`ForwardPlan::compile`], exposed for passes that lower the plan into
-/// another representation (the int8 quantizer consumes these instead of
-/// re-deriving the fusion rules from the raw layer list).
+/// One op node of the compiled plan — a fusion decision of
+/// [`ForwardPlan::compile`]. The executor runs these nodes, and passes that
+/// lower the plan into another representation (the int8 quantizer) consume
+/// them instead of re-deriving the fusion rules from the raw layer list.
 ///
-/// Like the internal nodes, descriptions hold layer *indices* only; all
-/// parameters are read live from the [`Sequential`].
+/// Nodes hold layer *indices* only; all parameters are read live from the
+/// [`Sequential`] at execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanNode {
     /// Fused convolution (+ bias), optional trailing activation, optional
-    /// trailing max-pool.
+    /// trailing max-pool, executed by the gather-direct (im2col-elided)
+    /// kernel. A fused pool consumes each image's conv output while it is
+    /// still cache-hot, so the full-resolution feature map never streams to
+    /// memory.
     ConvAct {
         /// Layer index of the convolution.
         conv: usize,
@@ -173,7 +142,7 @@ pub enum PlanNode {
         /// Layer index of the fused activation, if any.
         act: Option<usize>,
     },
-    /// `Flatten`: a pure reshape.
+    /// `Flatten`: a pure reshape — zero-copy when the buffer is owned.
     Reshape {
         /// Layer index of the flatten.
         layer: usize,
@@ -211,15 +180,12 @@ impl PlanNode {
 /// [module docs](self) for the fusion rules and the bit-identity contract.
 #[derive(Debug, Clone)]
 pub struct ForwardPlan {
-    nodes: Vec<Node>,
+    nodes: Vec<PlanNode>,
     len: usize,
     fingerprint: u64,
     /// `shapes[i]` = dims entering layer `i` (slot `len` = output dims);
     /// `None` for layers before the compile entry point.
     shapes: Vec<Option<Vec<usize>>>,
-    /// Liveness bound computed at compile time; see
-    /// [`ForwardPlan::peak_scratch_floats`].
-    peak_scratch: Option<usize>,
 }
 
 impl ForwardPlan {
@@ -252,27 +218,24 @@ impl ForwardPlan {
                     let act = matches!(layers.get(i + 1), Some(Layer::Activation(_))).then_some(i + 1);
                     let next = act.map_or(i + 1, |a| a + 1);
                     let pool = matches!(layers.get(next), Some(Layer::MaxPool2d(_))).then_some(next);
-                    Node::ConvAct { conv: i, act, pool }
+                    PlanNode::ConvAct { conv: i, act, pool }
                 }
                 Layer::Linear(_) => {
                     let act = matches!(layers.get(i + 1), Some(Layer::Activation(_))).then_some(i + 1);
-                    Node::LinearAct { lin: i, act }
+                    PlanNode::LinearAct { lin: i, act }
                 }
-                Layer::Flatten { .. } => Node::Reshape { layer: i },
-                Layer::Dropout(_) => Node::Elided { layer: i },
-                _ => Node::Opaque { layer: i },
+                Layer::Flatten { .. } => PlanNode::Reshape { layer: i },
+                Layer::Dropout(_) => PlanNode::Elided { layer: i },
+                _ => PlanNode::Opaque { layer: i },
             };
             i = node.layers().end;
             nodes.push(node);
         }
-        let shapes = infer_shapes(layers, entry, entry_dims);
-        let peak_scratch = liveness_peak(layers, &nodes, &shapes);
         ForwardPlan {
             nodes,
             len: layers.len(),
             fingerprint: structural_fingerprint(net),
-            shapes,
-            peak_scratch,
+            shapes: infer_shapes(layers, entry, entry_dims),
         }
     }
 
@@ -299,31 +262,12 @@ impl ForwardPlan {
         self.shapes.get(index).and_then(|s| s.as_deref())
     }
 
-    /// Compile-time liveness bound: the peak number of `f32`s the plan holds
-    /// in [`Scratch`]-managed buffers at any point of a full-span execution
-    /// (consumed inputs are recycled as soon as the next output exists, so
-    /// this is a max over adjacent node working sets — input + output +
-    /// per-image gather — not a sum over the network). `None` when the
-    /// compile entry hid the shapes of some node.
-    pub fn peak_scratch_floats(&self) -> Option<usize> {
-        self.peak_scratch
-    }
-
     /// The fusion decisions of this plan, as public [`PlanNode`]
     /// descriptions in execution order. Together the nodes cover layers
     /// `[0, len)` exactly once; [`PlanNode::layers`] gives each node's span
     /// for use with [`Sequential::execute`] + [`Span::range`].
     pub fn node_descs(&self) -> Vec<PlanNode> {
-        self.nodes
-            .iter()
-            .map(|n| match *n {
-                Node::ConvAct { conv, act, pool } => PlanNode::ConvAct { conv, act, pool },
-                Node::LinearAct { lin, act } => PlanNode::LinearAct { lin, act },
-                Node::Reshape { layer } => PlanNode::Reshape { layer },
-                Node::Elided { layer } => PlanNode::Elided { layer },
-                Node::Opaque { layer } => PlanNode::Opaque { layer },
-            })
-            .collect()
+        self.nodes.clone()
     }
 
     /// Executes the layers selected by `span` on `x`, drawing buffers from
@@ -374,20 +318,20 @@ impl ForwardPlan {
             let whole = from <= r.start && r.end <= to;
             if whole {
                 match *node {
-                    Node::Elided { .. } => {} // inference identity: skip
-                    Node::Reshape { .. } => {
+                    PlanNode::Elided { .. } => {} // inference identity: skip
+                    PlanNode::Reshape { .. } => {
                         let src = cur.take();
                         cur = Some(reshape_flat(src, x, scratch));
                     }
-                    Node::ConvAct { conv, act, pool } => {
+                    PlanNode::ConvAct { conv, act, pool } => {
                         let y = exec_conv(layers, conv, act, pool, cur.as_ref().unwrap_or(x), scratch);
                         recycle_into(&mut cur, y, scratch);
                     }
-                    Node::LinearAct { lin, act } => {
+                    PlanNode::LinearAct { lin, act } => {
                         let y = exec_linear(layers, lin, act, cur.as_ref().unwrap_or(x), scratch);
                         recycle_into(&mut cur, y, scratch);
                     }
-                    Node::Opaque { layer } => {
+                    PlanNode::Opaque { layer } => {
                         let y = layers[layer].forward_scratch(cur.as_ref().unwrap_or(x), scratch);
                         recycle_into(&mut cur, y, scratch);
                     }
@@ -672,34 +616,6 @@ fn infer_shapes(layers: &[Layer], entry: usize, entry_dims: &[usize]) -> Vec<Opt
     shapes
 }
 
-/// Buffer-liveness analysis over the compiled nodes: the largest adjacent
-/// working set (live input + produced output + any per-image gather buffer)
-/// across the plan, in `f32`s. `None` if any node's shapes are unknown.
-fn liveness_peak(layers: &[Layer], nodes: &[Node], shapes: &[Option<Vec<usize>>]) -> Option<usize> {
-    let mut peak = 0usize;
-    for node in nodes {
-        let r = node.layers();
-        let input: usize = shapes.get(r.start)?.as_ref()?.iter().product();
-        let output: usize = shapes.get(r.end)?.as_ref()?.iter().product();
-        let gather = match *node {
-            Node::ConvAct { conv, pool, .. } => match &layers[conv] {
-                Layer::Conv2d(c) => {
-                    let conv_out = shapes.get(conv + 1)?.as_ref()?;
-                    let k = c.geometry().kernel;
-                    let l = conv_out[2] * conv_out[3];
-                    // fused pooling adds a per-image conv staging buffer
-                    let staging = if pool.is_some() { conv_out[1] * l } else { 0 };
-                    c.in_channels() * k * k * l + staging
-                }
-                _ => 0,
-            },
-            _ => 0,
-        };
-        peak = peak.max(input + output + gather);
-    }
-    Some(peak)
-}
-
 /// Output dims of a `kernel × kernel` stride-`stride` pooling layer.
 fn pooled_dims(cur: &[usize], kernel: usize, stride: usize, i: usize) -> Vec<usize> {
     assert!(cur.len() == 4, "layer {i} (pool): expected rank-4 input, got {cur:?}");
@@ -746,26 +662,13 @@ static PLAN_CACHE: OnceLock<Mutex<HashMap<PlanKey, Arc<ForwardPlan>>>> = OnceLoc
 /// workload that churns architectures.
 const PLAN_CACHE_CAP: usize = 256;
 
-fn plan_cache_enabled() -> bool {
-    !matches!(std::env::var("FTCLIP_PLAN_CACHE").as_deref().map(str::trim), Ok("off" | "0" | "false"))
-}
-
-/// Number of plans currently memoized run-wide (diagnostics and tests).
-pub fn plan_cache_len() -> usize {
-    PLAN_CACHE.get().map_or(0, |m| match m.lock() {
-        Ok(g) => g.len(),
-        Err(e) => e.into_inner().len(),
-    })
-}
-
 /// The cached compile behind [`Sequential::plan`]: returns the memoized plan
-/// for this (structure, entry, shape) or compiles and inserts one. With
-/// `FTCLIP_PLAN_CACHE=off` every call compiles fresh.
+/// for this (structure, entry, shape) or compiles and inserts one.
 pub fn plan_for(net: &Sequential, entry: usize, entry_dims: &[usize]) -> Arc<ForwardPlan> {
     // chaos drill: an injected bypass recompiles this plan from scratch —
     // plans are pure functions of (structure, entry, shape), so execution
     // stays bit-identical, just slower
-    if !plan_cache_enabled() || ftclip_tensor::failpoint::fires("nn.plan_cache") {
+    if ftclip_tensor::failpoint::fires("nn.plan_cache") {
         return Arc::new(ForwardPlan::compile_from(net, entry, entry_dims));
     }
     let key = (structural_fingerprint(net), entry, entry_dims.to_vec());

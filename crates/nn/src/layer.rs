@@ -160,28 +160,11 @@ impl Layer {
         }
     }
 
-    /// Inference forward pass. Does not mutate the layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input shape mismatches (see the individual layer docs).
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        match self {
-            Layer::Conv2d(c) => c.forward(x),
-            Layer::Linear(l) => l.forward(x),
-            Layer::Activation(a) => a.func.apply(x),
-            Layer::MaxPool2d(p) => p.forward(x),
-            Layer::AvgPool2d(p) => p.forward(x),
-            Layer::Flatten { .. } => flatten_forward(x),
-            Layer::Dropout(d) => d.forward(x),
-            Layer::BatchNorm2d(b) => b.forward(x),
-        }
-    }
-
-    /// [`Layer::forward`] drawing output (and, for convolutions, im2col)
-    /// storage from a reusable [`Scratch`] arena. Layers whose forward pass
-    /// is not allocation-dominated simply delegate to [`Layer::forward`].
-    /// Bit-identical to the allocating path.
+    /// Inference forward pass of this one layer, drawing output (and, for
+    /// convolutions, im2col) storage from a reusable [`Scratch`] arena. Does
+    /// not mutate the layer. The plan runs this for `Opaque` nodes and for
+    /// spans that cut through a fused node; it is also the per-layer
+    /// reference the fused kernels are bit-identical to.
     ///
     /// # Panics
     ///
@@ -206,7 +189,10 @@ impl Layer {
                 buf.copy_from_slice(x.data());
                 Tensor::from_vec(buf, &[n, rest]).expect("flatten preserves volume")
             }
-            other => other.forward(x),
+            Layer::MaxPool2d(p) => p.forward(x),
+            Layer::AvgPool2d(p) => p.forward(x),
+            Layer::Dropout(d) => d.forward(x),
+            Layer::BatchNorm2d(b) => b.forward(x),
         }
     }
 

@@ -10,10 +10,9 @@
 //!   zero.
 //! * [`Sequential`] — a feed-forward network with immutable inference
 //!   through compiled fused plans ([`Sequential::execute`] /
-//!   [`ForwardPlan::execute`], see the [`graph`] module), per-layer
-//!   activation recording for Step 1 profiling
-//!   ([`Sequential::forward_recording`]), training-mode forward and
-//!   backprop, and raw parameter access for the fault injector
+//!   [`ForwardPlan::execute`], see the [`graph`] module) — the one forward
+//!   API, whose [`Span`]s also serve Step 1 profiling — training-mode
+//!   forward and backprop, and raw parameter access for the fault injector
 //!   ([`Sequential::visit_params_mut`]).
 //! * [`loss::SoftmaxCrossEntropy`], optimizers ([`opt::Sgd`], [`opt::Adam`]),
 //!   learning-rate schedules ([`sched::LrSchedule`]) and a batteries-included
@@ -72,7 +71,7 @@ pub use linear::Linear;
 pub use param::{ParamKind, ParamRef};
 pub use pool::{AvgPool2d, MaxPool2d};
 pub use scratch::Scratch;
-pub use sequential::{LayerRecord, Sequential};
+pub use sequential::Sequential;
 pub use serialize::{load_network, read_network, save_network, write_network, FORMAT_VERSION};
 pub use train::{
     evaluate, evaluate_with_threads, sharded_batch_sum, EpochStats, OptimizerKind, Trainer, TrainerBuilder,

@@ -14,8 +14,9 @@ use crate::{Activation, Layer, LayerKind, NnError, ParamKind, ParamRef, Scratch}
 /// (AlexNet, VGG-16, LeNet-5 are all linear chains). Beyond forward/backward
 /// it exposes the three capabilities the FT-ClipAct methodology needs:
 ///
-/// 1. **Activation recording** ([`Sequential::forward_recording`]) — Step 1
-///    of the methodology profiles the output distribution of every layer.
+/// 1. **Span execution** ([`Sequential::execute`]) — Step 1 of the
+///    methodology profiles every activation site's input by running the
+///    network one [`Span`] at a time.
 /// 2. **Clipping control** ([`Sequential::convert_to_clipped`],
 ///    [`Sequential::set_clip_threshold`]) — Step 2 replaces unbounded
 ///    activations with clipped ones; Step 3 fine-tunes the thresholds.
@@ -42,17 +43,6 @@ use crate::{Activation, Layer, LayerKind, NnError, ParamKind, ParamRef, Scratch}
 #[derive(Debug, Clone, Default)]
 pub struct Sequential {
     layers: Vec<Layer>,
-}
-
-/// Output of one layer captured by [`Sequential::forward_recording`].
-#[derive(Debug, Clone)]
-pub struct LayerRecord {
-    /// Index of the layer within the network.
-    pub layer_index: usize,
-    /// Discriminant of the layer.
-    pub kind: LayerKind,
-    /// The layer's output tensor.
-    pub output: Tensor,
 }
 
 impl Sequential {
@@ -121,18 +111,6 @@ impl Sequential {
     /// Panics if `input_dims` is inconsistent with the layer stack.
     pub fn plan(&self, input_dims: &[usize]) -> Arc<ForwardPlan> {
         plan_for(self, 0, input_dims)
-    }
-
-    /// Inference forward pass that additionally captures every layer's
-    /// output (Step 1 profiling and the Fig. 3 distribution analysis).
-    pub fn forward_recording(&self, x: &Tensor) -> (Tensor, Vec<LayerRecord>) {
-        let mut records = Vec::with_capacity(self.layers.len());
-        let mut cur = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            cur = layer.forward(&cur);
-            records.push(LayerRecord { layer_index: i, kind: layer.kind(), output: cur.clone() });
-        }
-        (cur, records)
     }
 
     /// Training forward pass: layers cache what their backward passes need.
@@ -470,15 +448,6 @@ mod tests {
         let net = tiny_net();
         let y = net.execute(&Tensor::zeros(&[3, 1, 8, 8]), Span::full(), &mut Scratch::new());
         assert_eq!(y.shape().dims(), &[3, 4]);
-    }
-
-    #[test]
-    fn forward_recording_captures_every_layer() {
-        let net = tiny_net();
-        let (y, recs) = net.forward_recording(&Tensor::zeros(&[1, 1, 8, 8]));
-        assert_eq!(recs.len(), net.len());
-        assert!(recs.last().unwrap().output.approx_eq(&y, 0.0));
-        assert_eq!(recs[0].kind, LayerKind::Conv2d);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use ftclipact::core::EvalSet;
 use ftclipact::fault::{Campaign, CampaignConfig, FaultModel, Injection, InjectionTarget, MemoryMap};
-use ftclipact::nn::{OptimizerKind, Trainer};
+use ftclipact::nn::{OptimizerKind, Scratch, Span, Trainer};
 use ftclipact::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +73,18 @@ fn main() {
     println!("\ntargeted exponent-MSB flip in CONV-1, observed ACT_max downstream:");
     let conv1 = net.layer_index_by_name("CONV-1").expect("CONV-1 exists");
     let x = data.test().images().slice_batch(0..16);
-    let (_, clean_records) = net.forward_recording(&x);
+    // ACT_max of the first six layers' outputs, one `Span::range` step each
+    let layer_maxima = |net: &Sequential| -> Vec<f32> {
+        let mut scratch = Scratch::new();
+        let mut cur = x.clone();
+        (0..6)
+            .map(|i| {
+                cur = net.execute(&cur, Span::range(i, i + 1), &mut scratch);
+                cur.max()
+            })
+            .collect()
+    };
+    let clean_maxima = layer_maxima(&net);
     let injection = Injection::sample(
         &net,
         InjectionTarget::Layer(conv1),
@@ -85,11 +96,11 @@ fn main() {
     let explicit =
         Injection::from_faults(FaultModel::StuckAt1, vec![(conv1, ftclipact::nn::ParamKind::Weight, 0, 30)]);
     let handle = explicit.apply(&mut net);
-    let (_, faulty_records) = net.forward_recording(&x);
+    let faulty_maxima = layer_maxima(&net);
     handle.undo(&mut net);
     println!("{:<8} {:>14} {:>14}", "layer", "clean ACT_max", "faulty ACT_max");
-    for (i, (c, f)) in clean_records.iter().zip(&faulty_records).enumerate().take(6) {
-        println!("{:<8} {:>14.3e} {:>14.3e}", i, c.output.max(), f.output.max());
+    for (i, (c, f)) in clean_maxima.iter().zip(&faulty_maxima).enumerate() {
+        println!("{:<8} {:>14.3e} {:>14.3e}", i, c, f);
     }
     println!("\nthe fault multiplies activations by ~1e38 — exactly what clipping intercepts");
 }

@@ -156,6 +156,69 @@ fn the_env_var_table_is_the_single_consolidated_one() {
     }
 }
 
+/// The `FTCLIP_*` names in README's "Environment variables" table.
+fn env_table_vars(readme: &str) -> HashSet<String> {
+    let section = readme.split("## Environment variables").nth(1).expect("env var section");
+    let section = section.split("\n## ").next().unwrap_or(section);
+    section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|rest| rest.split('`').next())
+        .filter(|name| name.starts_with("FTCLIP_"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every quoted `"FTCLIP_…"` string literal in `text`.
+fn env_literals(text: &str) -> Vec<String> {
+    let is_name = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+    text.match_indices("\"FTCLIP_")
+        .filter_map(|(at, _)| {
+            let rest = &text[at + 1..];
+            let end = rest.find(|c: char| !is_name(c))?;
+            rest[end..].starts_with('"').then(|| rest[..end].to_string())
+        })
+        .collect()
+}
+
+/// README's env table and the code agree in both directions: every row is
+/// read somewhere as a string literal (this file aside, whose own literals
+/// would match trivially), and every variable the library crates read has
+/// a row.
+#[test]
+fn the_env_var_table_matches_the_code() {
+    let root = repo_root();
+    let table = env_table_vars(&std::fs::read_to_string(root.join("README.md")).unwrap());
+    assert!(table.contains("FTCLIP_THREADS"), "env table not found: {table:?}");
+    let this_file = root.join(file!());
+    let mut used = HashSet::new();
+    let mut undocumented = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        let mut files = Vec::new();
+        rust_files(&root.join(dir), &mut files);
+        for file in files.iter().filter(|f| **f != this_file) {
+            let literals = env_literals(&std::fs::read_to_string(file).unwrap());
+            let in_crate_src = file
+                .strip_prefix(root.join("crates"))
+                .is_ok_and(|rel| rel.components().nth(1).is_some_and(|c| c.as_os_str() == "src"));
+            for name in literals {
+                if in_crate_src && !table.contains(&name) {
+                    undocumented.push(format!("{}: {name}", file.display()));
+                }
+                used.insert(name);
+            }
+        }
+    }
+    let mut stale: Vec<&String> = table.difference(&used).collect();
+    stale.sort();
+    assert!(stale.is_empty(), "README env table rows no code reads: {stale:?}");
+    assert!(
+        undocumented.is_empty(),
+        "env vars missing from the README table:\n{}",
+        undocumented.join("\n")
+    );
+}
+
 /// Guard for the doc moves: the budget-split and prefix-reuse diagrams
 /// live in the architecture guide now, with the README linking instead of
 /// duplicating.

@@ -44,7 +44,7 @@ fn bench_auc_and_tuner(c: &mut Criterion) {
     group.bench_function("auc measurement (2 rates × 2 reps, 64 imgs)", |b| {
         let mut net = net.clone();
         let cfg = auc_cfg();
-        b.iter(|| black_box(cfg.measure(black_box(&mut net), &eval)));
+        b.iter(|| black_box(cfg.measure(black_box(&mut net), &eval.suffix_eval())));
     });
     group.bench_function("algorithm1 single iteration", |b| {
         let tuner = ThresholdTuner::new(TunerConfig {

@@ -6,8 +6,8 @@
 //! (see the presets for the exact values each figure publishes).
 
 use ftclip_core::{
-    auc_normalized, campaign_auc, improvement_percent, profile_network, ResultTable, ThresholdTuner,
-    TunerConfig,
+    auc_normalized, campaign_auc, improvement_percent, profile_network, ResultTable, SiteEvaluator,
+    ThresholdTuner, TunerConfig,
 };
 use ftclip_fault::{BitPosition, Campaign, CampaignResult, FaultModel, Injection, InjectionTarget};
 use ftclip_models::{model_size_report, ZooArch};
@@ -656,7 +656,7 @@ pub fn auc_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     // red line: unbounded activations
     let unbounded_auc = {
         let mut net = base.clone();
-        auc_cfg.measure(&mut net, &eval)
+        auc_cfg.measure(&mut net, &eval.suffix_eval())
     };
 
     // blue curve: initialize all sites at ACT_max, sweep the target's
@@ -666,6 +666,7 @@ pub fn auc_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     net.convert_to_clipped(&init);
 
     let sweep_points = 13usize;
+    let evaluators = SiteEvaluator::new(&auc_cfg, &eval, target_site);
     let mut table = ResultTable::new(&ctx.spec.name, &["threshold", "auc"]);
     outln!(ctx, "Fig. 5b — AUC vs clipping threshold T ({layer_name}, ACT_max = {act_max:.4})\n");
     outln!(ctx, "{:>12} {:>10}", "T", "AUC");
@@ -673,7 +674,7 @@ pub fn auc_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     for k in 1..=sweep_points {
         let t = act_max * k as f32 / sweep_points as f32;
         net.set_clip_threshold(target_site, t).expect("site is clipped");
-        let result = auc_cfg.run_campaign(&mut net, &eval);
+        let result = auc_cfg.run_campaign(&mut net, &evaluators.evaluator());
         let auc = campaign_auc(&result);
         outln!(ctx, "{t:>12.4} {auc:>10.4}");
         table.row([t.into(), auc.into()]);

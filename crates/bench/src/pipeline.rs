@@ -49,12 +49,13 @@ pub fn harden_network(
     let report = methodology.harden(net, validation);
     for layer in &report.per_layer {
         eprintln!(
-            "[harden] {}: ACT_max {:.4} → T {:.4} (AUC {:.4}, {} evals)",
+            "[harden] {}: ACT_max {:.4} → T {:.4} (AUC {:.4}, {} evals, {} campaigns)",
             layer.feeds_from,
             layer.act_max,
             layer.outcome.threshold,
             layer.outcome.auc,
-            layer.outcome.evaluations
+            layer.outcome.evaluations,
+            layer.outcome.campaigns
         );
     }
     eprintln!("[harden] done in {:.1}s", start.elapsed().as_secs_f64());

@@ -216,7 +216,10 @@ impl Runner {
                 }));
             }
             for handle in handles {
-                handle.join().expect("batch worker panicked");
+                // re-raise the worker's own payload, not a generic message
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
         slots.into_iter().map(|slot| slot.expect("every batch slot filled")).collect()

@@ -8,7 +8,7 @@
 use ftclip_fault::{Campaign, CampaignConfig, CampaignResult, FaultModel, InjectionTarget, NoCache};
 use ftclip_nn::Sequential;
 
-use crate::EvalSet;
+use crate::{EvalSet, SuffixAccuracy};
 
 /// Area under the accuracy-vs-normalized-fault-rate curve.
 ///
@@ -92,11 +92,12 @@ impl Default for AucConfig {
 }
 
 impl AucConfig {
-    /// Measures the AUC of `net` by running the configured campaign and
-    /// integrating the resulting curve (with the clean point prepended).
+    /// Measures the AUC of `net` by running the configured campaign through
+    /// `eval` and integrating the resulting curve (with the clean point
+    /// prepended).
     ///
     /// The network is restored to its pre-campaign state before returning.
-    pub fn measure(&self, net: &mut Sequential, eval: &EvalSet) -> f64 {
+    pub fn measure(&self, net: &mut Sequential, eval: &SuffixAccuracy) -> f64 {
         campaign_auc(&self.run_campaign(net, eval))
     }
 
@@ -105,14 +106,18 @@ impl AucConfig {
     ///
     /// Tuning measures AUC hundreds of times, so the campaign grid fans out
     /// over worker threads ([`Campaign::run`] at
-    /// [`ftclip_tensor::num_threads`]) and cells evaluate
-    /// through the suffix engine ([`EvalSet::suffix_eval`]): per-layer
-    /// tuning targets re-execute only the layers below the fault, reusing
-    /// memoized clean prefix activations. Results are bit-identical to a
-    /// single-threaded, full-forward run at any `FTCLIP_THREADS`. The prefix
-    /// cache lives for one campaign — the tuner mutates thresholds between
-    /// measurements, so activations never carry across network states.
-    pub fn run_campaign(&self, net: &mut Sequential, eval: &EvalSet) -> CampaignResult {
+    /// [`ftclip_tensor::num_threads`]) and cells evaluate through the
+    /// suffix engine: per-layer tuning targets re-execute only the layers
+    /// from the fault onwards, reusing memoized clean prefix activations.
+    /// Results are bit-identical to a single-threaded, full-forward run at
+    /// any `FTCLIP_THREADS` and any cache state.
+    ///
+    /// The caller owns the prefix cache behind `eval` and so decides how
+    /// long it lives. One evaluator may serve several measurements as long
+    /// as [`PrefixCache`](crate::PrefixCache)'s binding contract holds
+    /// between them: the layers below every cut the campaign uses must not
+    /// change. [`SiteEvaluator`] applies that rule for threshold tuning.
+    pub fn run_campaign(&self, net: &mut Sequential, eval: &SuffixAccuracy) -> CampaignResult {
         let cfg = CampaignConfig {
             fault_rates: self.fault_rates.clone(),
             repetitions: self.repetitions,
@@ -121,7 +126,39 @@ impl AucConfig {
             target: self.target,
             stopping: None,
         };
-        Campaign::new(cfg).run(net, ftclip_tensor::num_threads(), &NoCache, eval.suffix_eval())
+        Campaign::new(cfg).run(net, ftclip_tensor::num_threads(), &NoCache, eval.clone())
+    }
+}
+
+/// Hands out the evaluator for each AUC measurement taken while only the
+/// threshold of one clipping site changes between measurements.
+///
+/// A `Layer(l)` target with `l < site` cuts every cell, and the clean pass,
+/// at `l`. So every cached activation enters a layer `≤ l` and was computed
+/// by layers below `l` only; the site is not among them, and its threshold
+/// cannot reach the cache. One [`SuffixAccuracy`] then serves every
+/// measurement, and the prefix below `l` is computed once per site instead
+/// of once per campaign. Any other target may cut at or beyond the site (a
+/// whole-network cell cuts at its earliest fault), so each measurement gets
+/// a fresh evaluator.
+#[derive(Debug, Clone)]
+pub struct SiteEvaluator {
+    eval: EvalSet,
+    shared: Option<SuffixAccuracy>,
+}
+
+impl SiteEvaluator {
+    /// The evaluators for measurements of `auc`'s campaign over `eval`
+    /// while the threshold of the activation layer at `site` is varied.
+    pub fn new(auc: &AucConfig, eval: &EvalSet, site: usize) -> Self {
+        let shared = matches!(auc.target, InjectionTarget::Layer(l) if l < site).then(|| eval.suffix_eval());
+        SiteEvaluator { eval: eval.clone(), shared }
+    }
+
+    /// The evaluator for the next measurement: the site's shared one, or a
+    /// fresh one.
+    pub fn evaluator(&self) -> SuffixAccuracy {
+        self.shared.clone().unwrap_or_else(|| self.eval.suffix_eval())
     }
 }
 
@@ -176,6 +213,25 @@ mod tests {
     }
 
     #[test]
+    fn site_evaluators_share_a_cache_only_below_the_site() {
+        use ftclip_data::SynthCifar;
+        use std::sync::Arc;
+        let data = SynthCifar::builder().seed(4).train_size(8).val_size(8).test_size(8).build();
+        let eval = EvalSet::from_dataset(data.test(), 8);
+        let shares = |target: InjectionTarget, site: usize| {
+            let cfg = AucConfig { target, ..AucConfig::default() };
+            let evaluators = SiteEvaluator::new(&cfg, &eval, site);
+            Arc::ptr_eq(evaluators.evaluator().cache(), evaluators.evaluator().cache())
+        };
+        assert!(shares(InjectionTarget::Layer(3), 4));
+        assert!(!shares(InjectionTarget::Layer(4), 4), "a cut at the site sees its threshold");
+        assert!(!shares(InjectionTarget::Layer(5), 4));
+        assert!(!shares(InjectionTarget::AllWeights, 4));
+        assert!(!shares(InjectionTarget::AllParams, 4));
+        assert!(!shares(InjectionTarget::Biases, 4));
+    }
+
+    #[test]
     fn measure_runs_and_restores_network() {
         use ftclip_data::SynthCifar;
         use ftclip_nn::Layer;
@@ -192,7 +248,7 @@ mod tests {
             repetitions: 2,
             ..AucConfig::default()
         };
-        let auc = cfg.measure(&mut net, &eval);
+        let auc = cfg.measure(&mut net, &eval.suffix_eval());
         assert!((0.0..=1.0).contains(&auc));
         let after: Vec<f32> = {
             let mut v = Vec::new();

@@ -344,10 +344,14 @@ impl PrefixCacheStats {
 /// workers and across cells (wrap it in an [`Arc`], or share a
 /// [`SuffixAccuracy`], which does so for you).
 ///
-/// **Binding contract:** entries are only valid for one clean network. The
-/// cache never inspects the model, so use one `PrefixCache` per
-/// (network, eval set) pair — exactly what [`EvalSet::suffix_eval`] hands
-/// out — and never share it between e.g. a protected and an unprotected
+/// **Binding contract:** an entry at cut `c` is the output of layers
+/// `[0, c)` of the clean network that computed it, so it stays valid while
+/// those layers are unchanged — parameters and activation thresholds alike.
+/// Layers from `c` onwards may change freely: faults injected at or after
+/// the cut, or a clipping threshold tuned above it (see
+/// [`crate::SiteEvaluator`]). The cache never inspects the model, so the
+/// caller must uphold this. In practice: one `PrefixCache` per (eval set,
+/// clean prefix), never shared between e.g. a protected and an unprotected
 /// twin.
 ///
 /// When an insertion would exceed the byte budget it is simply refused and
@@ -450,18 +454,21 @@ impl PrefixCache {
 /// cell's earliest faulted layer and reusing clean prefix activations from
 /// a shared [`PrefixCache`].
 ///
-/// Cells without a usable hint (the clean-accuracy evaluation, or whole-
-/// network injections that hit layer 0) fall back to the full
-/// [`EvalSet::accuracy`] path. Either way the returned accuracy is
-/// **bit-identical** to the plain `|n| eval.accuracy(n)` closure — the hint
-/// only changes how much work is redone, never a result bit — so store
-/// cache keys, golden snapshots and resume fixtures are unaffected.
+/// Cells without a usable hint (the clean-accuracy evaluation of a
+/// whole-network campaign, or whole-network injections that hit layer 0)
+/// fall back to the full [`EvalSet::accuracy`] path. Either way the
+/// returned accuracy is **bit-identical** to the plain
+/// `|n| eval.accuracy(n)` closure — the hint only changes how much work is
+/// redone, never a result bit — so store cache keys, golden snapshots and
+/// resume fixtures are unaffected.
 ///
 /// Cloning shares the prefix cache (cheap: the eval set is `Arc`-backed),
 /// which is how one cache serves every campaign over the same clean
-/// network — e.g. the per-layer sweeps of Fig. 3. **Do not** reuse one
-/// evaluator across different networks (see [`PrefixCache`]'s binding
-/// contract); make one per network instead.
+/// network — e.g. the per-layer sweeps of Fig. 3 — or over networks that
+/// differ only above every cut, as in per-site threshold tuning. **Do
+/// not** reuse one evaluator across networks whose layers below a cut
+/// differ (see [`PrefixCache`]'s binding contract); make a fresh one
+/// instead.
 #[derive(Debug, Clone)]
 pub struct SuffixAccuracy {
     eval: EvalSet,
@@ -475,8 +482,9 @@ impl SuffixAccuracy {
         SuffixAccuracy { eval, cache }
     }
 
-    /// An evaluator sharing an existing cache (the cache must be bound to
-    /// the same clean network this evaluator will score).
+    /// An evaluator sharing an existing cache (the cache's entries must
+    /// hold for the networks this evaluator will score; see
+    /// [`PrefixCache`]'s binding contract).
     pub fn with_cache(eval: EvalSet, cache: Arc<PrefixCache>) -> Self {
         SuffixAccuracy { eval, cache }
     }

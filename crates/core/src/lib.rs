@@ -48,7 +48,7 @@ mod report;
 mod table;
 mod tuner;
 
-pub use auc::{auc_normalized, campaign_auc, AucConfig};
+pub use auc::{auc_normalized, campaign_auc, AucConfig, SiteEvaluator};
 pub use evalset::{EvalSet, EvalSettings, PrefixCache, PrefixCacheStats, SuffixAccuracy};
 /// Deterministic failpoint harness (`FTCLIP_FAILPOINTS`) for chaos testing.
 ///

@@ -7,10 +7,18 @@
 //! best boundary, and stops after `N` iterations — or earlier, once the
 //! boundary AUCs flatten out (`max Δ ≤ δ`) and at least `M` iterations have
 //! run.
+//!
+//! Each refined interval's endpoints are two boundaries of the previous
+//! iteration, with the same bits. An AUC measurement is a pure function of
+//! the network state, so the tuner memoises boundary AUCs: `k` iterations
+//! cost `4 + 2(k − 1)` campaigns, against the `4k` evaluations the paper
+//! counts.
+
+use std::collections::HashMap;
 
 use ftclip_nn::{NnError, Sequential};
 
-use crate::{AucConfig, EvalSet};
+use crate::{AucConfig, EvalSet, SiteEvaluator};
 
 /// Stopping and measurement parameters for [`ThresholdTuner`].
 #[derive(Debug, Clone)]
@@ -62,8 +70,13 @@ pub struct TuneOutcome {
     pub auc: f64,
     /// Per-iteration trace (Fig. 6).
     pub trace: Vec<IterationTrace>,
-    /// Total AUC campaign evaluations spent.
+    /// AUC evaluations the algorithm makes: one per boundary per iteration
+    /// for Algorithm 1, one per grid point for the grid search. This is
+    /// the paper's cost measure.
     pub evaluations: usize,
+    /// AUC campaigns actually run. Algorithm 1 reuses the AUCs of the
+    /// boundaries an iteration keeps, so this is at most `evaluations`.
+    pub campaigns: usize,
 }
 
 /// The Algorithm 1 threshold tuner.
@@ -114,6 +127,11 @@ impl ThresholdTuner {
     /// searching `[0, act_max]`. The site's threshold is left set to the
     /// returned value.
     ///
+    /// Boundary AUCs are memoised for the length of the call, and the
+    /// measurements share a prefix cache whenever [`SiteEvaluator`] allows
+    /// it. Both leave every result bit as if each boundary were measured
+    /// from scratch.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError`] if `site` is not a clipped activation layer or
@@ -131,7 +149,10 @@ impl ThresholdTuner {
         // validate the site before spending any evaluations
         net.set_clip_threshold(site, act_max)?;
 
-        let mut evaluations = 0usize;
+        let evaluators = SiteEvaluator::new(&self.config.auc, eval, site);
+        // effective threshold bits → AUC; only `site`'s threshold changes
+        // within this call, so the key determines the measurement
+        let mut memo: HashMap<u32, f64> = HashMap::new();
         let mut trace: Vec<IterationTrace> = Vec::new();
         let mut interval = (0.0f32, act_max);
         let mut best_t = act_max;
@@ -146,9 +167,15 @@ impl ThresholdTuner {
                 // T = 0 means "clip everything"; evaluate it as an
                 // infinitesimal positive threshold.
                 let effective = if t > 0.0 { t } else { act_max * 1e-6 };
-                net.set_clip_threshold(site, effective)?;
-                aucs[i] = self.config.auc.measure(net, eval);
-                evaluations += 1;
+                aucs[i] = match memo.get(&effective.to_bits()) {
+                    Some(&auc) => auc,
+                    None => {
+                        net.set_clip_threshold(site, effective)?;
+                        let auc = self.config.auc.measure(net, &evaluators.evaluator());
+                        memo.insert(effective.to_bits(), auc);
+                        auc
+                    }
+                };
             }
             let best_index = argmax(&aucs);
             trace.push(IterationTrace { interval, boundaries, aucs, best_index });
@@ -171,16 +198,23 @@ impl ThresholdTuner {
 
         let final_t = if best_t > 0.0 { best_t } else { act_max * 1e-6 };
         net.set_clip_threshold(site, final_t)?;
-        Ok(TuneOutcome { threshold: final_t, auc: best_auc, trace, evaluations })
+        Ok(TuneOutcome {
+            threshold: final_t,
+            auc: best_auc,
+            evaluations: 4 * trace.len(),
+            trace,
+            campaigns: memo.len(),
+        })
     }
 }
 
 /// Exhaustive baseline for Algorithm 1: evaluates the AUC at `points`
 /// evenly-spaced thresholds in `(0, act_max]` and keeps the best.
 ///
-/// Costs `points` AUC campaigns versus Algorithm 1's `4 × iterations`;
-/// the `ablation_tuner_vs_grid` binary compares quality per evaluation.
-/// The site's threshold is left set to the selected value.
+/// Costs `points` AUC evaluations versus Algorithm 1's `4 × iterations`;
+/// `ftclip run ablation-tuner-vs-grid` compares quality per evaluation.
+/// The measurements share a prefix cache whenever [`SiteEvaluator`] allows
+/// it. The site's threshold is left set to the selected value.
 ///
 /// # Errors
 ///
@@ -203,13 +237,12 @@ pub fn grid_search_site(
         return Err(NnError::InvalidThreshold { value: act_max });
     }
     net.set_clip_threshold(site, act_max)?;
+    let evaluators = SiteEvaluator::new(auc, eval, site);
     let mut best = (act_max, f64::NEG_INFINITY);
-    let mut evaluations = 0usize;
     for k in 1..=points {
         let t = act_max * k as f32 / points as f32;
         net.set_clip_threshold(site, t)?;
-        let score = auc.measure(net, eval);
-        evaluations += 1;
+        let score = auc.measure(net, &evaluators.evaluator());
         if score > best.1 {
             best = (t, score);
         }
@@ -219,7 +252,8 @@ pub fn grid_search_site(
         threshold: best.0,
         auc: best.1,
         trace: Vec::new(),
-        evaluations,
+        evaluations: points,
+        campaigns: points,
     })
 }
 
@@ -289,6 +323,43 @@ mod tests {
         assert_eq!(net.clip_thresholds()[0], Some(out.threshold));
     }
 
+    /// Tunes site 1 of the test net under `cfg` and returns
+    /// `(evaluations, campaigns)`.
+    fn counts(cfg: TunerConfig) -> (usize, usize) {
+        let (mut net, eval) = setup();
+        net.convert_to_clipped(&[5.0]);
+        let out = ThresholdTuner::new(cfg).tune_site(&mut net, 1, 5.0, &eval).unwrap();
+        assert_eq!(out.evaluations, 4 * out.trace.len());
+        (out.evaluations, out.campaigns)
+    }
+
+    #[test]
+    fn kept_boundaries_are_not_measured_again() {
+        // N = 3, no early stop: 4 + 2 + 2 campaigns for 12 boundaries
+        let mut cfg = quick_cfg();
+        cfg.max_iterations = 3;
+        cfg.min_iterations = 3;
+        assert_eq!(counts(cfg), (12, 8));
+    }
+
+    #[test]
+    fn early_stop_counts_only_the_iterations_run() {
+        // the flatness test stops after M = 2 of N = 5 iterations
+        let mut cfg = quick_cfg();
+        cfg.max_iterations = 5;
+        cfg.min_iterations = 2;
+        cfg.delta = 10.0;
+        assert_eq!(counts(cfg), (8, 6));
+    }
+
+    #[test]
+    fn a_single_iteration_measures_every_boundary() {
+        let mut cfg = quick_cfg();
+        cfg.max_iterations = 1;
+        cfg.min_iterations = 1;
+        assert_eq!(counts(cfg), (4, 4));
+    }
+
     #[test]
     fn interval_shrinks_each_iteration() {
         let (mut net, eval) = setup();
@@ -353,7 +424,7 @@ mod tests {
         net.convert_to_clipped(&[5.0]);
         let cfg = quick_cfg();
         let out = grid_search_site(&mut net, 1, 5.0, 4, &cfg.auc, &eval).unwrap();
-        assert_eq!(out.evaluations, 4);
+        assert_eq!((out.evaluations, out.campaigns), (4, 4));
         assert!(out.threshold > 0.0 && out.threshold <= 5.0);
         assert_eq!(net.clip_thresholds()[0], Some(out.threshold));
         assert!(out.trace.is_empty());

@@ -1,0 +1,197 @@
+//! Bit-identity guard for the tuning path: the boundary memo and the
+//! per-site prefix cache must leave every result bit exactly where
+//! Algorithm 1 puts it when each boundary is measured by its own campaign
+//! over a fresh evaluator.
+
+use ftclip_core::{
+    profile_network, AucConfig, EvalSet, IterationTrace, Methodology, ProfileConfig, ThresholdTuner,
+    TuneOutcome, TunerConfig,
+};
+use ftclip_data::SynthCifar;
+use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, NoCache};
+use ftclip_nn::{Layer, Sequential};
+
+fn data() -> SynthCifar {
+    SynthCifar::builder()
+        .seed(61)
+        .train_size(8)
+        .val_size(48)
+        .test_size(8)
+        .image_size(8)
+        .noise_std(0.1)
+        .build()
+}
+
+/// Two activation sites: layer 1 (fed by CONV-1 at 0) and layer 4 (fed by
+/// FC-1 at 3).
+fn two_site_net() -> Sequential {
+    Sequential::new(vec![
+        Layer::conv2d(3, 4, 3, 1, 1, 70),
+        Layer::relu(),
+        Layer::flatten(),
+        Layer::linear(4 * 64, 12, 71),
+        Layer::relu(),
+        Layer::linear(12, 10, 72),
+    ])
+}
+
+fn tuner_cfg(target: InjectionTarget, fault_rates: Vec<f64>) -> TunerConfig {
+    TunerConfig {
+        max_iterations: 3,
+        min_iterations: 3,
+        delta: 0.0,
+        auc: AucConfig {
+            fault_rates,
+            repetitions: 2,
+            seed: 9,
+            model: FaultModel::BitFlip,
+            target,
+        },
+    }
+}
+
+/// Algorithm 1 with no reuse at all: every boundary of every iteration is
+/// measured by its own campaign through a fresh `eval.suffix_eval()`.
+/// Returns the selected threshold, its AUC and the trace.
+fn oracle(
+    cfg: &TunerConfig,
+    net: &mut Sequential,
+    site: usize,
+    act_max: f32,
+    eval: &EvalSet,
+) -> (f32, f64, Vec<IterationTrace>) {
+    let mut interval = (0.0f32, act_max);
+    let mut trace = Vec::new();
+    let (mut best_t, mut best_auc) = (act_max, f64::NEG_INFINITY);
+    for counter in 1..=cfg.max_iterations {
+        let (lo, hi) = interval;
+        let third = (hi - lo) / 3.0;
+        let boundaries = [lo, lo + third, lo + 2.0 * third, hi];
+        let mut aucs = [0.0f64; 4];
+        for (auc, &t) in aucs.iter_mut().zip(&boundaries) {
+            let effective = if t > 0.0 { t } else { act_max * 1e-6 };
+            net.set_clip_threshold(site, effective).unwrap();
+            *auc = cfg.auc.measure(net, &eval.suffix_eval());
+        }
+        let mut best_index = 0;
+        for i in 1..4 {
+            if aucs[i] > aucs[best_index] {
+                best_index = i;
+            }
+        }
+        trace.push(IterationTrace { interval, boundaries, aucs, best_index });
+        (best_t, best_auc) = (boundaries[best_index], aucs[best_index]);
+        interval = match best_index {
+            0 => (boundaries[0], boundaries[1]),
+            3 => (boundaries[2], boundaries[3]),
+            i => (boundaries[i - 1], boundaries[i + 1]),
+        };
+        let max_delta = aucs.windows(2).map(|w| (w[1] - w[0]).abs()).fold(0.0f64, f64::max);
+        if max_delta <= cfg.delta && counter >= cfg.min_iterations {
+            break;
+        }
+    }
+    let final_t = if best_t > 0.0 { best_t } else { act_max * 1e-6 };
+    net.set_clip_threshold(site, final_t).unwrap();
+    (final_t, best_auc, trace)
+}
+
+fn assert_bitwise_equal(what: &str, got: &TuneOutcome, (t, auc, trace): &(f32, f64, Vec<IterationTrace>)) {
+    assert_eq!(got.threshold.to_bits(), t.to_bits(), "{what}: threshold");
+    assert_eq!(got.auc.to_bits(), auc.to_bits(), "{what}: selected AUC");
+    assert_eq!(got.trace.len(), trace.len(), "{what}: iterations");
+    for (k, (g, o)) in got.trace.iter().zip(trace).enumerate() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g.aucs), bits(&o.aucs), "{what}: AUCs of iteration {k}");
+        assert_eq!(g.best_index, o.best_index, "{what}: best index of iteration {k}");
+        assert_eq!(
+            g.boundaries.map(f32::to_bits),
+            o.boundaries.map(f32::to_bits),
+            "{what}: boundaries of iteration {k}"
+        );
+    }
+}
+
+/// Tunes `site` of a clipped twin with the tuner and with the oracle,
+/// checks them bitwise equal and returns the oracle's trace.
+fn tune_both(what: &str, cfg: TunerConfig, site: usize) -> Vec<IterationTrace> {
+    let eval = EvalSet::from_dataset(data().val(), 16);
+    let mut net = two_site_net();
+    net.convert_to_clipped(&[3.0, 4.0]);
+    let mut twin = net.clone();
+    let got = ThresholdTuner::new(cfg.clone()).tune_site(&mut net, site, 4.0, &eval).unwrap();
+    let want = oracle(&cfg, &mut twin, site, 4.0, &eval);
+    assert_bitwise_equal(what, &got, &want);
+    assert_eq!((got.evaluations, got.campaigns), (12, 8), "{what}: counts");
+    assert_eq!(net.clip_thresholds(), twin.clip_thresholds());
+    let distinct: std::collections::BTreeSet<u64> =
+        want.2.iter().flat_map(|it| it.aucs).map(f64::to_bits).collect();
+    assert!(distinct.len() > 1, "{what}: the AUC must depend on the threshold for this guard to bite");
+    want.2
+}
+
+#[test]
+fn shared_site_cache_matches_fresh_measurements() {
+    // FC-1 (layer 3) feeds site 4: every cut sits below the tuned site
+    tune_both("Layer(3) target", tuner_cfg(InjectionTarget::Layer(3), vec![1e-3, 1e-2]), 4);
+}
+
+#[test]
+fn fresh_evaluators_match_for_whole_network_targets() {
+    // at these rates most cells spare CONV-1 and cut at FC-1 or later,
+    // above site 1: a cache shared across thresholds would serve stale
+    // activations here
+    tune_both("AllWeights target", tuner_cfg(InjectionTarget::AllWeights, vec![1e-5, 1e-4]), 1);
+}
+
+#[test]
+fn harden_matches_the_oracle_on_every_site() {
+    let data = data();
+    let validation = data.val();
+    let methodology = Methodology {
+        profile: ProfileConfig { subset_size: 32, seed: 3, batch_size: 16, bins: 8 },
+        tuner: tuner_cfg(InjectionTarget::AllWeights, vec![1e-3, 1e-2]),
+    };
+    let mut hardened = two_site_net();
+    let report = methodology.harden(&mut hardened, validation);
+
+    // the same three steps, tuned by the oracle
+    let mut net = two_site_net();
+    let subset = validation.subset(32, 3);
+    let profiles = profile_network(&net, subset.images(), 16, 8);
+    let initial: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
+    net.convert_to_clipped(&initial);
+    let eval = EvalSet::from_subset(validation, 32, 3 ^ 0xA5A5, 16);
+    assert_eq!(report.per_layer.len(), 2);
+    for ((layer, profile), (site, feeding)) in report.per_layer.iter().zip(&profiles).zip([(1, 0), (4, 3)]) {
+        assert_eq!(layer.site, site);
+        let mut cfg = methodology.tuner.clone();
+        cfg.auc.target = InjectionTarget::Layer(feeding);
+        let want = oracle(&cfg, &mut net, site, profile.act_max.max(f32::MIN_POSITIVE), &eval);
+        assert_bitwise_equal(&layer.feeds_from, &layer.outcome, &want);
+    }
+    let bits = |n: &Sequential| n.clip_thresholds().iter().map(|t| t.map(f32::to_bits)).collect::<Vec<_>>();
+    assert_eq!(bits(&hardened), bits(&net));
+}
+
+#[test]
+fn per_layer_clean_pass_matches_the_full_forward() {
+    let eval = EvalSet::from_dataset(data().val(), 16);
+    let net = two_site_net();
+    let campaign = Campaign::new(CampaignConfig {
+        fault_rates: vec![1e-2],
+        repetitions: 2,
+        seed: 4,
+        model: FaultModel::BitFlip,
+        target: InjectionTarget::Layer(3),
+        stopping: None,
+    });
+    let full = eval.accuracy(&net).to_bits();
+    let sx = eval.suffix_eval();
+    let cold = campaign.run(&net, 2, &NoCache, sx.clone());
+    assert_eq!(cold.clean_accuracy.to_bits(), full, "cold cache");
+    let hits = sx.cache().stats().hits;
+    let warm = campaign.run(&net, 2, &NoCache, sx.clone());
+    assert_eq!(warm.clean_accuracy.to_bits(), full, "warm cache");
+    assert!(sx.cache().stats().hits > hits, "the warm clean pass reads the cache");
+}

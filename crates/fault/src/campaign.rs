@@ -252,7 +252,8 @@ pub fn paper_fault_rates() -> Vec<f64> {
 /// `cut` is bit-identical to the clean network's, so a hint-aware evaluator
 /// may reuse memoized clean-prefix activations and re-execute only the
 /// suffix `[cut, len)`. `None` means "no structural knowledge" (e.g. the
-/// clean-accuracy evaluation) — evaluate the full network.
+/// clean-accuracy evaluation of a whole-network campaign) — evaluate the
+/// full network.
 ///
 /// The hint is purely an optimization channel: honoring it must never
 /// change a result bit, and ignoring it is always correct.
@@ -543,6 +544,11 @@ impl Campaign {
     /// * **Cache.** Cells found in `cache` replay without evaluation; fresh
     ///   cells are recorded as they complete. Pass [`NoCache`] to compute
     ///   everything.
+    /// * **Clean pass.** The clean accuracy is evaluated once, with
+    ///   [`SuffixHint::at`]`(l)` for an [`InjectionTarget::Layer`]`(l)`
+    ///   target (every cut is clean on the clean network, so a hint-aware
+    ///   evaluator warms the prefix the cells reuse) and
+    ///   [`SuffixHint::full`] otherwise.
     /// * **Zero-fault cells** reuse the clean accuracy instead of
     ///   re-evaluating; faulted cells hand the evaluator the fault set's
     ///   [`SuffixHint`].
@@ -579,7 +585,13 @@ impl Campaign {
         let observer = current_observer();
         let observer = observer.as_deref();
         let clean_accuracy = cache.clean_accuracy().unwrap_or_else(|| {
-            let clean = ftclip_tensor::with_thread_limit(threads, || eval.eval_cell(net, SuffixHint::full()));
+            // the clean network is clean at every cut: scoring it at a
+            // per-layer target's cut warms the prefix the cells reuse
+            let hint = match self.config.target {
+                InjectionTarget::Layer(l) => SuffixHint::at(l),
+                _ => SuffixHint::full(),
+            };
+            let clean = ftclip_tensor::with_thread_limit(threads, || eval.eval_cell(net, hint));
             cache.record_clean(clean);
             clean
         });

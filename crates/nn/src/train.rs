@@ -325,7 +325,12 @@ pub fn sharded_batch_sum(
             let count = &count;
             handles.push(scope.spawn(move || ftclip_tensor::with_thread_limit(budget, || count(range))));
         }
-        handles.into_iter().map(|h| h.join().expect("evaluation worker panicked")).sum()
+        // re-raise a worker's own payload so its cause (e.g. a cancelled
+        // campaign) reaches the caller's catch_unwind intact
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .sum()
     })
 }
 
@@ -483,6 +488,23 @@ mod tests {
         let c = evaluate(&net, &x, &y, 3);
         assert_eq!(a, b);
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn sharded_evaluation_panics_keep_their_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Cause(usize);
+        // four batches over two workers: the second worker's range panics
+        let caught = std::panic::catch_unwind(|| {
+            sharded_batch_sum(4, 2, |range| {
+                if range.start > 0 {
+                    std::panic::panic_any(Cause(range.start));
+                }
+                range.len()
+            })
+        })
+        .expect_err("the worker's panic must reach the caller");
+        assert_eq!(caught.downcast_ref::<Cause>(), Some(&Cause(2)), "payload replaced");
     }
 
     #[test]

@@ -42,9 +42,10 @@ pub(crate) use outln;
 /// In-memory memo of loaded workloads, shared across a batch so specs that
 /// agree on (model spec × dataset) train or load the network exactly once.
 ///
-/// Hits hand out `Arc` clones (a workload owns the full dataset tensors —
-/// tens of megabytes — and nothing mutates it), and concurrent misses on
-/// one key serialize on a per-key slot lock: exactly one worker trains,
+/// Hits hand out `Arc` clones: nothing mutates a workload, and its dataset
+/// generates each split once, on first read, so a later spec reuses the
+/// splits an earlier one read. Concurrent misses on one key serialize on a
+/// per-key slot lock: exactly one worker trains,
 /// so two batch members can never race unsynchronized `save_network`
 /// writes onto the same zoo cache file. Distinct keys stay concurrent.
 #[derive(Debug, Default)]

@@ -374,7 +374,7 @@ pub struct DataSpec {
     pub val_size: usize,
     /// Test-split size.
     pub test_size: usize,
-    /// Per-pixel noise standard deviation.
+    /// Per-pixel noise standard deviation (finite and ≥ 0).
     pub noise_std: f32,
     /// Class-center separation (primary difficulty knob).
     pub class_sep: f32,
@@ -554,6 +554,12 @@ impl ExperimentSpec {
             return Err(SpecError::BadData(format!(
                 "class_sep must be in (0, 1], got {}",
                 self.data.class_sep
+            )));
+        }
+        if !(self.data.noise_std.is_finite() && self.data.noise_std >= 0.0) {
+            return Err(SpecError::BadData(format!(
+                "noise_std must be finite and non-negative, got {}",
+                self.data.noise_std
             )));
         }
         if self.procedure == Procedure::AblationLeakyClip && self.workload.arch != ZooArch::AlexNet {
@@ -1297,6 +1303,26 @@ mod tests {
             Err(SpecError::UnsupportedArch(_))
         ));
         assert!(ExperimentSpec::builder(Procedure::AblationLeakyClip, "x").build().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_negative_or_non_finite_noise_std() {
+        // the generator asserts on these at build(); the spec reports them
+        // as a typed error first
+        for noise_std in [-0.1, f32::NAN, f32::INFINITY] {
+            let spec = ExperimentSpec::builder(Procedure::CampaignSummary, "x")
+                .data(DataSpec { noise_std, ..DataSpec::default() })
+                .build();
+            match spec {
+                Err(SpecError::BadData(msg)) => assert!(msg.contains("noise_std"), "{msg}"),
+                other => panic!("noise_std {noise_std} gave {other:?}"),
+            }
+        }
+        let zero = DataSpec { noise_std: 0.0, ..DataSpec::default() };
+        assert!(ExperimentSpec::builder(Procedure::CampaignSummary, "x")
+            .data(zero)
+            .build()
+            .is_ok());
     }
 
     #[test]

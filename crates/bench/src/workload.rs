@@ -116,6 +116,46 @@ mod tests {
         assert_eq!(a.test().labels(), b.test().labels());
     }
 
+    /// FNV-1a-64 over one split: every image f32's little-endian bits, then
+    /// every label as a little-endian `u64`.
+    fn digest(d: &ftclip_data::Dataset) -> u64 {
+        let bytes = d.images().data().iter().flat_map(|v| v.to_bits().to_le_bytes());
+        let labels = d.labels().iter().flat_map(|&l| (l as u64).to_le_bytes());
+        bytes
+            .chain(labels)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn spec_data_splits_match_their_pinned_digests() {
+        // store cell keys chain the dataset *settings*, never its pixels, so
+        // a generator change that moves one bit would silently alias every
+        // cached cell; these digests were taken from the eager serial
+        // generator and must hold at any FTCLIP_THREADS
+        let spec = ExperimentSpec::builder(Procedure::CampaignSummary, "t").build().unwrap();
+        let d = &spec.data;
+        assert_eq!(
+            (spec.seed, d.train_size, d.val_size, d.test_size, d.noise_std, d.class_sep),
+            (42, 3000, 768, 1024, 0.40, 0.25),
+            "the pinned digests are for the default spec"
+        );
+        type Split = fn(&SynthCifar) -> &ftclip_data::Dataset;
+        let pinned: [(&str, Split, u64); 3] = [
+            ("train", SynthCifar::train, 0xbbe5_3da5_b3ee_490f),
+            ("val", SynthCifar::val, 0x313d_9a9d_a575_6dd7),
+            ("test", SynthCifar::test, 0x8221_7129_ce93_01d7),
+        ];
+        // both first-access orders: a split's bits must not depend on which
+        // split was generated before it
+        for order in [[0, 1, 2], [2, 1, 0]] {
+            let data = spec_data(&spec);
+            for (name, split, want) in order.map(|i| pinned[i]) {
+                let got = digest(split(&data));
+                assert_eq!(got, want, "{name} digest {got:016x} (first-access order {order:?})");
+            }
+        }
+    }
+
     #[test]
     fn arch_profiles_reproduce_the_paper_ordering() {
         let (_, alex) = arch_profile(ZooArch::AlexNet);

@@ -12,9 +12,19 @@
 //! * class structure is spatial (gratings + blobs), so convolutions matter.
 //!
 //! Every image is a pure function of `(seed, split, index)`, so datasets are
-//! bit-reproducible across runs and machines.
+//! bit-reproducible across runs and machines. That also makes the splits
+//! cheap to share and defer:
+//!
+//! * each split is generated on its first read — a post-training run that
+//!   only profiles on validation data and measures on test data never pays
+//!   for the training split;
+//! * the images of a split are generated in parallel, one image per row of
+//!   [`par_row_bands`], and the result is bit-identical at any thread count;
+//! * clones share the generated splits through one `Arc`.
 
-use ftclip_tensor::Tensor;
+use std::sync::{Arc, OnceLock};
+
+use ftclip_tensor::{par_row_bands, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,6 +34,15 @@ use crate::Dataset;
 const GRATINGS: usize = 2;
 /// Number of Gaussian blobs per class prototype.
 const BLOBS: usize = 2;
+/// Channel-invariant terms per pixel: one `sin` per grating, one `exp` per
+/// blob and one `exp` for the distractor blob.
+const TERMS: usize = GRATINGS + BLOBS + 1;
+
+/// Split ids: the index into [`Inner::splits`] and the split component of
+/// every per-image seed.
+const TRAIN: usize = 0;
+const VAL: usize = 1;
+const TEST: usize = 2;
 
 /// Class-defining pattern parameters (one per class, drawn from the
 /// generator seed).
@@ -98,24 +117,6 @@ impl ClassProto {
             .collect();
         ClassProto { base, gratings, blobs }
     }
-
-    /// Prototype value at normalized coordinates `(u, v) ∈ [0,1]²`, channel
-    /// `c`, under a per-sample distortion of the grating phases/amplitudes
-    /// and blob positions.
-    fn value(&self, u: f32, v: f32, c: usize, jitter: &SampleJitter) -> f32 {
-        let mut acc = self.base[c];
-        for (g, &(fx, fy, phase, amp, w)) in self.gratings.iter().enumerate() {
-            let a = amp * jitter.grating_amp[g];
-            let p = phase + jitter.grating_phase[g];
-            acc += a * w[c] * (std::f32::consts::TAU * (fx * u + fy * v) + p).sin();
-        }
-        for (b, &(cx, cy, inv2s2, amp, w)) in self.blobs.iter().enumerate() {
-            let (dx, dy) = jitter.blob_offset[b];
-            let d2 = (u - cx - dx) * (u - cx - dx) + (v - cy - dy) * (v - cy - dy);
-            acc += amp * w[c] * (-d2 * inv2s2).exp();
-        }
-        acc
-    }
 }
 
 /// Per-sample distortion of the class pattern: grating phase/amplitude
@@ -149,6 +150,10 @@ impl SampleJitter {
 
 /// The synthetic CIFAR-substitute dataset: train / validation / test splits.
 ///
+/// Each split is generated on its first read, in parallel, and is
+/// bit-identical at any thread count. Clones share the generated splits
+/// through one `Arc`, so cloning is a refcount bump.
+///
 /// # Example
 ///
 /// ```
@@ -166,9 +171,18 @@ impl SampleJitter {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SynthCifar {
-    train: Dataset,
-    val: Dataset,
-    test: Dataset,
+    inner: Arc<Inner>,
+}
+
+/// What every clone of one [`SynthCifar`] shares.
+#[derive(Debug)]
+struct Inner {
+    /// The validated settings.
+    config: SynthCifarBuilder,
+    /// Class prototypes, drawn eagerly by [`SynthCifarBuilder::build`].
+    protos: Vec<ClassProto>,
+    /// The splits, indexed by split id ([`TRAIN`], [`VAL`], [`TEST`]).
+    splits: [OnceLock<Dataset>; 3],
 }
 
 impl SynthCifar {
@@ -179,19 +193,28 @@ impl SynthCifar {
 
     /// The training split (what the model owner used; the methodology itself
     /// never touches it, matching the paper's no-training-data constraint).
+    /// Generated on first call.
     pub fn train(&self) -> &Dataset {
-        &self.train
+        self.split(TRAIN)
     }
 
     /// The validation split (threshold profiling and tuning draw subsets of
-    /// this).
+    /// this). Generated on first call.
     pub fn val(&self) -> &Dataset {
-        &self.val
+        self.split(VAL)
     }
 
-    /// The held-out test split (final resilience evaluation).
+    /// The held-out test split (final resilience evaluation). Generated on
+    /// first call.
     pub fn test(&self) -> &Dataset {
-        &self.test
+        self.split(TEST)
+    }
+
+    /// The split with id `split`, generating it if no clone has yet.
+    /// Concurrent first readers block until the one generating it is done.
+    fn split(&self, split: usize) -> &Dataset {
+        let inner = &*self.inner;
+        inner.splits[split].get_or_init(|| inner.config.generate_split(&inner.protos, split))
     }
 }
 
@@ -273,8 +296,8 @@ impl SynthCifarBuilder {
         self
     }
 
-    /// Per-pixel Gaussian noise σ (default 0.35) — the *pixel-level*
-    /// difficulty knob.
+    /// Per-pixel Gaussian noise σ (default 0.35; finite and ≥ 0) — the
+    /// *pixel-level* difficulty knob.
     pub fn noise_std(mut self, noise_std: f32) -> Self {
         self.noise_std = noise_std;
         self
@@ -301,18 +324,23 @@ impl SynthCifarBuilder {
         self
     }
 
-    /// Maximum translation jitter in pixels (default 3).
+    /// Maximum translation jitter in pixels (default 3; must be ≥ 0).
     pub fn max_shift(mut self, max_shift: i32) -> Self {
         self.max_shift = max_shift;
         self
     }
 
-    /// Generates all three splits.
+    /// Validates the settings and draws the class prototypes. No image is
+    /// generated here: each split is generated on its first read (see
+    /// [`SynthCifar`]), so every setting a split depends on is checked now
+    /// rather than on whichever thread reads the split first.
     ///
     /// # Panics
     ///
-    /// Panics if any split size or the class count is zero, or
-    /// `image_size < 8`.
+    /// Panics if any split size or the class count is zero,
+    /// `image_size < 8`, `channels` is outside 1–3, `distortion` is outside
+    /// `[0, 1]`, `class_sep` is outside `(0, 1]`, `max_shift` is negative, or
+    /// `noise_std` is negative or not finite.
     pub fn build(self) -> SynthCifar {
         assert!(self.classes > 0, "need at least one class");
         assert!(
@@ -331,6 +359,12 @@ impl SynthCifarBuilder {
             "class_sep must be in (0, 1], got {}",
             self.class_sep
         );
+        assert!(self.max_shift >= 0, "max_shift must be non-negative, got {}", self.max_shift);
+        assert!(
+            self.noise_std.is_finite() && self.noise_std >= 0.0,
+            "noise_std must be finite and non-negative, got {}",
+            self.noise_std
+        );
         let mut proto_rng =
             StdRng::seed_from_u64(self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
         let shared = ClassProto::sample(&mut proto_rng);
@@ -340,54 +374,99 @@ impl SynthCifarBuilder {
                 shared.lerp_toward(&own, self.class_sep)
             })
             .collect();
-        let train = self.generate_split(&protos, 0, self.train_size);
-        let val = self.generate_split(&protos, 1, self.val_size);
-        let test = self.generate_split(&protos, 2, self.test_size);
-        SynthCifar { train, val, test }
+        SynthCifar {
+            inner: Arc::new(Inner { config: self, protos, splits: Default::default() }),
+        }
     }
 
-    fn generate_split(&self, protos: &[ClassProto], split: u64, n: usize) -> Dataset {
-        let s = self.image_size;
-        let ch = self.channels;
-        let mut data = vec![0.0f32; n * ch * s * s];
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            // balanced labels: round-robin with seeded offset
-            let label = i % self.classes;
-            labels.push(label);
-            let mut rng = StdRng::seed_from_u64(
-                self.seed ^ splitmix(split.wrapping_mul(1_000_003).wrapping_add(i as u64)),
-            );
-            let proto = &protos[label];
-            let dx = rng.gen_range(-self.max_shift..=self.max_shift) as f32 / s as f32;
-            let dy = rng.gen_range(-self.max_shift..=self.max_shift) as f32 / s as f32;
-            let flip = rng.gen_bool(0.5);
-            let contrast = rng.gen_range(0.8..1.2f32);
-            let brightness = rng.gen_range(-0.1..0.1f32);
-            // distractor blob: a non-class-informative bright spot
-            let (bx, by) = (rng.gen_range(0.0..1.0f32), rng.gen_range(0.0..1.0f32));
-            let bamp = rng.gen_range(-0.3..0.3f32);
-            let jitter = SampleJitter::sample(&mut rng, self.distortion);
-            let base = i * ch * s * s;
-            for c in 0..ch {
-                for y in 0..s {
-                    for x in 0..s {
-                        let mut u = x as f32 / s as f32;
-                        if flip {
-                            u = 1.0 - u;
-                        }
-                        let v = y as f32 / s as f32;
-                        let mut val = proto.value(u + dx, v + dy, c, &jitter);
-                        let d2 = (u - bx) * (u - bx) + (v - by) * (v - by);
-                        val += bamp * (-d2 * 60.0).exp();
-                        val = val * contrast + brightness + self.noise_std * gauss(&mut rng);
-                        data[base + (c * s + y) * s + x] = val.clamp(-1.0, 1.0);
-                    }
-                }
+    /// Generates split `split` ([`TRAIN`], [`VAL`] or [`TEST`]). Each image
+    /// is one row of the image buffer, rendered from its own
+    /// `(seed, split, index)` RNG by exactly one worker, so the result does
+    /// not depend on how [`par_row_bands`] bands the rows.
+    fn generate_split(&self, protos: &[ClassProto], split: usize) -> Dataset {
+        let n = [self.train_size, self.val_size, self.test_size][split];
+        let (s, ch) = (self.image_size, self.channels);
+        let row = ch * s * s;
+        let mut data = vec![0.0f32; n * row];
+        par_row_bands(&mut data, row, |first, band| {
+            let mut terms = vec![0.0f32; s * s * TERMS];
+            for (k, image) in band.chunks_exact_mut(row).enumerate() {
+                self.render(protos, split, first + k, image, &mut terms);
             }
-        }
+        });
+        // balanced labels: round-robin over the classes
+        let labels = (0..n).map(|i| i % self.classes).collect();
         let images = Tensor::from_vec(data, &[n, ch, s, s]).expect("volume matches");
         Dataset::new(images, labels, self.classes).expect("labels in range by construction")
+    }
+
+    /// Renders image `index` of split `split` into `image` (`c·s·s` floats,
+    /// CHW). `terms` is scratch for the channel-invariant per-pixel terms
+    /// (`s·s·TERMS` floats).
+    fn render(
+        &self,
+        protos: &[ClassProto],
+        split: usize,
+        index: usize,
+        image: &mut [f32],
+        terms: &mut [f32],
+    ) {
+        let s = self.image_size;
+        let mut rng = StdRng::seed_from_u64(
+            self.seed ^ splitmix((split as u64).wrapping_mul(1_000_003).wrapping_add(index as u64)),
+        );
+        let proto = &protos[index % self.classes];
+        let dx = rng.gen_range(-self.max_shift..=self.max_shift) as f32 / s as f32;
+        let dy = rng.gen_range(-self.max_shift..=self.max_shift) as f32 / s as f32;
+        let flip = rng.gen_bool(0.5);
+        let contrast = rng.gen_range(0.8..1.2f32);
+        let brightness = rng.gen_range(-0.1..0.1f32);
+        // distractor blob: a non-class-informative bright spot
+        let (bx, by) = (rng.gen_range(0.0..1.0f32), rng.gen_range(0.0..1.0f32));
+        let bamp = rng.gen_range(-0.3..0.3f32);
+        let jitter = SampleJitter::sample(&mut rng, self.distortion);
+        // the grating sines and the blob exponentials depend on the pixel
+        // only: compute them once, not once per channel
+        for (p, t) in terms.chunks_exact_mut(TERMS).enumerate() {
+            let (y, x) = (p / s, p % s);
+            let mut u = x as f32 / s as f32;
+            if flip {
+                u = 1.0 - u;
+            }
+            let v = y as f32 / s as f32;
+            // the class pattern is sampled at the translated coordinates
+            let (pu, pv) = (u + dx, v + dy);
+            for (g, &(fx, fy, phase, _, _)) in proto.gratings.iter().enumerate() {
+                let ph = phase + jitter.grating_phase[g];
+                t[g] = (std::f32::consts::TAU * (fx * pu + fy * pv) + ph).sin();
+            }
+            for (b, &(cx, cy, inv2s2, _, _)) in proto.blobs.iter().enumerate() {
+                let (ox, oy) = jitter.blob_offset[b];
+                let d2 = (pu - cx - ox) * (pu - cx - ox) + (pv - cy - oy) * (pv - cy - oy);
+                t[GRATINGS + b] = (-d2 * inv2s2).exp();
+            }
+            let d2 = (u - bx) * (u - bx) + (v - by) * (v - by);
+            t[GRATINGS + BLOBS] = (-d2 * 60.0).exp();
+        }
+        for (c, plane) in image.chunks_exact_mut(s * s).enumerate() {
+            // each term's channel weight, the product the per-pixel sum used
+            let mut weight = [0.0f32; GRATINGS + BLOBS];
+            for (g, &(_, _, _, amp, w)) in proto.gratings.iter().enumerate() {
+                weight[g] = amp * jitter.grating_amp[g] * w[c];
+            }
+            for (b, &(_, _, _, amp, w)) in proto.blobs.iter().enumerate() {
+                weight[GRATINGS + b] = amp * w[c];
+            }
+            for (px, t) in plane.iter_mut().zip(terms.chunks_exact(TERMS)) {
+                let mut val = proto.base[c];
+                for (&w, &term) in weight.iter().zip(t) {
+                    val += w * term;
+                }
+                val += bamp * t[GRATINGS + BLOBS];
+                val = val * contrast + brightness + self.noise_std * gauss(&mut rng);
+                *px = val.clamp(-1.0, 1.0);
+            }
+        }
     }
 }
 
@@ -583,6 +662,93 @@ mod tests {
     #[should_panic(expected = "class_sep")]
     fn rejects_zero_class_sep() {
         SynthCifar::builder().class_sep(0.0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "max_shift")]
+    fn rejects_negative_max_shift() {
+        // must fail in build(), not on whichever worker first reads a split
+        SynthCifar::builder().max_shift(-1).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "noise_std")]
+    fn rejects_negative_noise_std() {
+        SynthCifar::builder().noise_std(-0.1).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "noise_std")]
+    fn rejects_non_finite_noise_std() {
+        SynthCifar::builder().noise_std(f32::NAN).build();
+    }
+
+    /// FNV-1a-64 over one split: every image f32's little-endian bits, then
+    /// every label as a little-endian `u64`.
+    fn digest(d: &Dataset) -> u64 {
+        let bytes = d.images().data().iter().flat_map(|v| v.to_bits().to_le_bytes());
+        let labels = d.labels().iter().flat_map(|&l| (l as u64).to_le_bytes());
+        bytes
+            .chain(labels)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// The experiments' default dataset (seed 42). Its split digests are
+    /// pinned against the eager serial generator by the bench crate's
+    /// `spec_data_splits_match_their_pinned_digests`.
+    fn experiment_default() -> SynthCifar {
+        SynthCifar::builder()
+            .seed(42)
+            .train_size(3000)
+            .val_size(768)
+            .test_size(1024)
+            .noise_std(0.40)
+            .class_sep(0.25)
+            .build()
+    }
+
+    #[test]
+    fn splits_are_generated_on_first_read_only() {
+        let d = small();
+        assert!(d.inner.splits.iter().all(|s| s.get().is_none()), "build() generates no split");
+        d.test();
+        assert!(d.inner.splits[TRAIN].get().is_none());
+        assert!(d.inner.splits[VAL].get().is_none());
+        assert!(d.inner.splits[TEST].get().is_some());
+    }
+
+    #[test]
+    fn clones_share_the_generated_splits() {
+        let d = small();
+        assert!(std::ptr::eq(d.test(), d.clone().test()));
+        // a clone taken before the first read shares the split it generates
+        let e = d.clone();
+        assert!(std::ptr::eq(e.val(), d.val()));
+    }
+
+    #[test]
+    fn racing_first_readers_see_one_split() {
+        let d = experiment_default();
+        let barrier = std::sync::Barrier::new(4);
+        let seen: Vec<&Dataset> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        d.val()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().expect("reader")).collect()
+        });
+        assert!(seen.iter().all(|&v| std::ptr::eq(v, seen[0])));
+        assert_eq!(digest(seen[0]), 0x313d_9a9d_a575_6dd7);
+    }
+
+    #[test]
+    fn bits_do_not_depend_on_the_thread_count() {
+        let serial = ftclip_tensor::with_thread_limit(1, || digest(small().train()));
+        assert_eq!(digest(small().train()), serial);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //!
 //! # Batch scheduling
 //!
-//! `run_batch` composes with the existing adaptive thread split: the batch
-//! fans specs over `min(FTCLIP_THREADS, batch size)` workers, each worker
-//! runs its experiments under `with_thread_limit(budget)`, and *inside*
-//! that budget the campaign executor fans `(rate × repetition)` cells out,
-//! handing leftover threads to the batch-sharded evaluation — three levels
-//! (experiments × cells × eval shards) sharing one budget.
+//! `run_batch` is the outermost of three levels sharing one thread budget,
+//! each a `ftclip_tensor::fan_out` over the level below: the batch fans
+//! specs over `min(FTCLIP_THREADS, batch size)` workers, each running its
+//! experiments under its `budget_share`; *inside* that share the campaign
+//! executor fans `(rate × repetition)` cells out, and each cell's
+//! evaluation fans its batches out over whatever budget is left.
 //!
 //! Results are **bit-identical** to running the same specs serially in
 //! spec order: every experiment's tables are already thread-count-invariant
@@ -176,53 +176,13 @@ impl Runner {
             }
         }
 
-        let workers = threads.min(specs.len()).max(1);
-        if workers <= 1 || specs.len() <= 1 {
-            // honor the explicit budget even without batch fan-out: the
-            // campaign/eval engines underneath must not exceed `threads`
-            return ftclip_tensor::with_thread_limit(threads.max(1), || {
-                specs
-                    .iter()
-                    .map(|spec| self.run(spec).map_err(|e| SpecError::InSpec(spec.name.clone(), Box::new(e))))
-                    .collect()
-            });
-        }
-
-        // the first `threads % workers` workers absorb the remainder so the
-        // whole budget is in use (mirrors the campaign executor's split)
-        let inner = threads / workers;
-        let spare = threads % workers;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<RunOutcome, SpecError>>> = Vec::new();
-        slots.resize_with(specs.len(), || None);
-        let slots_mutex = std::sync::Mutex::new(&mut slots);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let next = &next;
-                let slots_mutex = &slots_mutex;
-                let budget = (inner + usize::from(w < spare)).max(1);
-                handles.push(scope.spawn(move || {
-                    ftclip_tensor::with_thread_limit(budget, || loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= specs.len() {
-                            return;
-                        }
-                        let result = self
-                            .run(&specs[i])
-                            .map_err(|e| SpecError::InSpec(specs[i].name.clone(), Box::new(e)));
-                        slots_mutex.lock().expect("batch slot lock")[i] = Some(result);
-                    })
-                }));
-            }
-            for handle in handles {
-                // re-raise the worker's own payload, not a generic message
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        slots.into_iter().map(|slot| slot.expect("every batch slot filled")).collect()
+        let run_spec = |i: usize| {
+            self.run(&specs[i])
+                .map_err(|e| SpecError::InSpec(specs[i].name.clone(), Box::new(e)))
+        };
+        ftclip_tensor::fan_out(threads.max(1), specs.len(), || (), |(), i| run_spec(i))
+            .into_iter()
+            .collect()
     }
 }
 

@@ -102,7 +102,7 @@ impl EvalSet {
 
     /// Classification accuracy of `net` on this set.
     ///
-    /// The evaluation batches are sharded across
+    /// The evaluation batches are fanned out over
     /// [`ftclip_tensor::num_threads`] workers (see
     /// [`ftclip_nn::evaluate_with_threads`]); the result is bit-identical at
     /// any thread count.
@@ -110,7 +110,7 @@ impl EvalSet {
         evaluate(net, &self.images, &self.labels, self.batch_size)
     }
 
-    /// [`EvalSet::accuracy`] with an explicit batch-shard worker budget —
+    /// [`EvalSet::accuracy`] with an explicit worker budget —
     /// the entry point for tests and probes that compare thread counts
     /// within one process (the `FTCLIP_THREADS` variable is read once and
     /// cached).
@@ -131,18 +131,18 @@ impl EvalSet {
     /// **bit-identical** to [`EvalSet::accuracy`] at any thread count and
     /// any cache state (cold, warm, or budget-exhausted).
     ///
-    /// The evaluation batches are sharded across
+    /// The evaluation batches are fanned out over
     /// [`ftclip_tensor::num_threads`] workers exactly like
     /// [`EvalSet::accuracy`]; workers share `cache`.
     pub fn accuracy_suffix(&self, net: &Sequential, cut: usize, cache: &PrefixCache) -> f64 {
         self.accuracy_suffix_with_threads(net, cut, cache, ftclip_tensor::num_threads())
     }
 
-    /// [`EvalSet::accuracy_suffix`] with an explicit batch-shard worker
-    /// budget (the same testing convention as
-    /// [`EvalSet::accuracy_with_threads`]). Sharding goes through
-    /// [`ftclip_nn::sharded_batch_sum`] — the same engine as the full
-    /// forward path, so the two can never skew in how they split batches.
+    /// [`EvalSet::accuracy_suffix`] with an explicit worker budget (the
+    /// same testing convention as [`EvalSet::accuracy_with_threads`]).
+    /// Batches go through [`ftclip_tensor::fan_out`] one per queue item,
+    /// with one [`Scratch`] per worker — the same split as the full forward
+    /// path.
     ///
     /// # Panics
     ///
@@ -157,51 +157,50 @@ impl EvalSet {
         assert!(cut <= net.len(), "cut {cut} outside network of {} layers", net.len());
         let n = self.labels.len();
         let batches = n.div_ceil(self.batch_size);
-        let correct = ftclip_nn::sharded_batch_sum(batches, threads, |range| {
-            self.suffix_correct_in_batches(net, cut, cache, range, &mut Scratch::new())
-        });
+        let correct: usize = ftclip_tensor::fan_out(threads.max(1), batches, Scratch::new, |scratch, b| {
+            self.suffix_correct_in_batch(net, cut, cache, b, scratch)
+        })
+        .into_iter()
+        .sum();
         correct as f64 / n as f64
     }
 
-    /// Correct-classification count over a contiguous range of batch
-    /// indices, running only the layers from `cut` onwards per batch.
-    fn suffix_correct_in_batches(
+    /// Correct-classification count of batch `b`, running only the layers
+    /// from `cut` onwards.
+    fn suffix_correct_in_batch(
         &self,
         net: &Sequential,
         cut: usize,
         cache: &PrefixCache,
-        batches: std::ops::Range<usize>,
+        b: usize,
         scratch: &mut Scratch,
     ) -> usize {
         let n = self.labels.len();
         let bs = self.batch_size;
-        let mut correct = 0usize;
-        for b in batches {
-            let start = b * bs;
-            let end = (start + bs).min(n);
-            let mut dims = self.images.shape().dims().to_vec();
-            dims[0] = end - start;
-            // One compiled plan serves the full pass AND every span cut —
-            // the SuffixHint path can never skew from the forward path.
-            let plan = net.plan(&dims);
-            let logits = if cut == 0 {
-                // no clean prefix to reuse — plain full forward on the batch
-                let bx = self.batch_tensor(start, end, scratch);
-                let y = plan.execute(net, &bx, Span::full(), scratch);
-                scratch.recycle(bx.into_vec());
-                y
-            } else {
-                let act = self.prefix_activation(net, &plan, cut, b, start, end, cache, scratch);
-                plan.execute(net, &act, Span::suffix(cut), scratch)
-            };
-            correct += logits
-                .argmax_rows()
-                .iter()
-                .zip(&self.labels[start..end])
-                .filter(|(p, l)| p == l)
-                .count();
-            scratch.recycle(logits.into_vec());
-        }
+        let start = b * bs;
+        let end = (start + bs).min(n);
+        let mut dims = self.images.shape().dims().to_vec();
+        dims[0] = end - start;
+        // One compiled plan serves the full pass AND every span cut —
+        // the SuffixHint path can never skew from the forward path.
+        let plan = net.plan(&dims);
+        let logits = if cut == 0 {
+            // no clean prefix to reuse — plain full forward on the batch
+            let bx = self.batch_tensor(start, end, scratch);
+            let y = plan.execute(net, &bx, Span::full(), scratch);
+            scratch.recycle(bx.into_vec());
+            y
+        } else {
+            let act = self.prefix_activation(net, &plan, cut, b, start, end, cache, scratch);
+            plan.execute(net, &act, Span::suffix(cut), scratch)
+        };
+        let correct = logits
+            .argmax_rows()
+            .iter()
+            .zip(&self.labels[start..end])
+            .filter(|(p, l)| p == l)
+            .count();
+        scratch.recycle(logits.into_vec());
         correct
     }
 

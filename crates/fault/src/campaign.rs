@@ -7,8 +7,6 @@
 //! executor serves every [`FaultSubstrate`]: the f32 [`Sequential`] here and
 //! the int8 plan of `ftclip_quant`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use ftclip_nn::Sequential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -552,12 +550,12 @@ impl Campaign {
     /// * **Zero-fault cells** reuse the clean accuracy instead of
     ///   re-evaluating; faulted cells hand the evaluator the fault set's
     ///   [`SuffixHint`].
-    /// * **Threads.** Workers pull cells from one shared queue and run
-    ///   under [`ftclip_tensor::with_thread_limit`] with their share of the
-    ///   budget: 1 when the grid has at least `threads` cells, otherwise
-    ///   `threads / workers` (the first workers take the remainder), which
-    ///   batch-sharded evaluation turns into batch-level parallelism. A
-    ///   single worker runs on the calling thread under the whole budget.
+    /// * **Threads.** Cells go through [`ftclip_tensor::fan_out`]: workers
+    ///   pull them from one queue, each on its own clone of `net` under its
+    ///   [`ftclip_tensor::budget_share`] of `threads` — 1 when the grid has
+    ///   at least `threads` cells, otherwise the leftover budget, which the
+    ///   evaluation underneath turns into batch-level parallelism. A single
+    ///   worker runs on the calling thread under the whole budget.
     ///   `FTCLIP_THREADS` is read once per process; pass
     ///   [`ftclip_tensor::num_threads`] to honor it.
     /// * **Adaptive.** With [`CampaignConfig::stopping`] set, the grid runs
@@ -599,7 +597,10 @@ impl Campaign {
             obs.on_clean(clean_accuracy);
         }
         let cells = Cells { campaign: self, clean_accuracy, cache, eval: &eval, observer };
-        let run_wave = |wave: &[(usize, usize)]| cells.fan_out(net, threads, wave);
+        // one clone of `net` per worker serves every cell it pulls
+        let run_wave = |wave: &[(usize, usize)]| {
+            ftclip_tensor::fan_out(threads, wave.len(), || net.clone(), |local, k| cells.cell(local, wave[k]))
+        };
         let (runs, convergence) = match self.config.stopping {
             Some(rule) => {
                 let (runs, convergence) = self.run_adaptive(rule, observer, run_wave);
@@ -641,14 +642,13 @@ impl Campaign {
         let mut active: Vec<bool> = vec![true; n_rates];
         for boundary in rule.wave_boundaries() {
             // the wave's cell list is rate-major and derived only from the
-            // active set — identical at any thread count
+            // active set — identical at any thread count — and `run_wave`
+            // returns its records in that order
             let cells: Vec<(usize, usize)> = (0..n_rates)
                 .filter(|&i| active[i])
                 .flat_map(|i| (accuracies[i].len()..boundary).map(move |rep| (i, rep)))
                 .collect();
-            let mut wave = run_wave(&cells);
-            wave.sort_by_key(|r| (r.rate_index, r.repetition));
-            for record in wave {
+            for record in run_wave(&cells) {
                 accuracies[record.rate_index].push(record.accuracy);
                 runs.push(record);
             }
@@ -713,53 +713,6 @@ struct Cells<'a, S> {
 }
 
 impl<S: FaultSubstrate> Cells<'_, S> {
-    /// Runs `cells` over up to `threads` workers pulling from one atomic
-    /// queue, each on its own clone of `net` under its share of the thread
-    /// budget (see [`Campaign::run`]). Records come back in scheduling
-    /// order.
-    fn fan_out(&self, net: &S, threads: usize, cells: &[(usize, usize)]) -> Vec<RunRecord> {
-        let next_cell = AtomicUsize::new(0);
-        // one clone per worker serves every cell it pulls
-        let worker = || {
-            let mut local = net.clone();
-            let mut out = Vec::new();
-            while let Some(&cell) = cells.get(next_cell.fetch_add(1, Ordering::Relaxed)) {
-                out.push(self.cell(&mut local, cell));
-            }
-            out
-        };
-        let workers = threads.min(cells.len());
-        if workers <= 1 {
-            // honor the explicit budget even without fan-out: the
-            // batch-sharded evaluation underneath must not exceed `threads`
-            return ftclip_tensor::with_thread_limit(threads, worker);
-        }
-        // leftover parallelism per worker when cells < threads; 1 otherwise
-        // (the first `threads % workers` workers absorb the remainder so the
-        // whole budget is used)
-        let (inner, spare) = (threads / workers, threads % workers);
-        let worker = &worker;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let budget = (inner + usize::from(w < spare)).max(1);
-                    scope.spawn(move || ftclip_tensor::with_thread_limit(budget, worker))
-                })
-                .collect();
-            let mut runs = Vec::with_capacity(cells.len());
-            for handle in handles {
-                match handle.join() {
-                    Ok(worker_runs) => runs.extend(worker_runs),
-                    // re-raise with the original payload so a cancellation
-                    // unwind ([`CancelledCampaign`]) stays downcastable at
-                    // the driver's catch_unwind
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            runs
-        })
-    }
-
     /// Computes (or replays from the cache) one `(rate, repetition)` cell.
     /// `net` is returned to its pre-call state.
     ///
@@ -806,6 +759,7 @@ mod tests {
     use super::*;
     use ftclip_nn::{Layer, Scratch, Span};
     use ftclip_tensor::Tensor;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn net() -> Sequential {
         Sequential::new(vec![Layer::flatten(), Layer::linear(16, 4, 2)])

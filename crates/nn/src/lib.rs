@@ -73,6 +73,4 @@ pub use pool::{AvgPool2d, MaxPool2d};
 pub use scratch::Scratch;
 pub use sequential::Sequential;
 pub use serialize::{load_network, read_network, save_network, write_network, FORMAT_VERSION};
-pub use train::{
-    evaluate, evaluate_with_threads, sharded_batch_sum, EpochStats, OptimizerKind, Trainer, TrainerBuilder,
-};
+pub use train::{evaluate, evaluate_with_threads, EpochStats, OptimizerKind, Trainer, TrainerBuilder};

@@ -254,15 +254,14 @@ pub fn evaluate(net: &Sequential, images: &Tensor, labels: &[usize], batch_size:
 
 /// [`evaluate`] with an explicit worker budget (`FTCLIP_THREADS` is
 /// process-global and cached, so tests and probes comparing thread counts
-/// inside one process use this entry point).
+/// inside one process use this entry point; 0 counts as 1).
 ///
-/// The evaluation batches are split into contiguous shards, one scoped
-/// worker per shard, and each worker runs its forward passes under
-/// [`ftclip_tensor::with_thread_limit`] with its share of the remaining
-/// budget (`threads / workers`) — so when there are fewer batches than
-/// threads, the matmul kernels underneath soak up the leftover parallelism
-/// instead of idling. Each worker reuses one [`crate::Scratch`] arena across
-/// its batches, eliminating steady-state allocation.
+/// The evaluation batches go through [`ftclip_tensor::fan_out`], one batch
+/// per queue item: each worker runs its forward passes under its share of
+/// the budget — so when there are fewer batches than threads, the matmul
+/// kernels underneath soak up the leftover parallelism instead of idling —
+/// and reuses one [`crate::Scratch`] arena across the batches it pulls,
+/// eliminating steady-state allocation.
 ///
 /// Results are **bit-identical at any thread count**: every batch's forward
 /// pass is banding-invariant, each batch is scored by exactly one worker,
@@ -278,94 +277,44 @@ pub fn evaluate_with_threads(
     let n = images.shape()[0];
     assert_eq!(labels.len(), n, "label count must match image count");
     let bs = batch_size.max(1);
-    let batches = n.div_ceil(bs);
-    let correct = sharded_batch_sum(batches, threads, |range| {
-        correct_in_batches(net, images, labels, bs, range, &mut crate::Scratch::new())
-    });
+    let correct: usize =
+        ftclip_tensor::fan_out(threads.max(1), n.div_ceil(bs), crate::Scratch::new, |scratch, b| {
+            correct_in_batch(net, images, labels, bs, b, scratch)
+        })
+        .into_iter()
+        .sum();
     correct as f64 / n as f64
 }
 
-/// The one batch-shard engine behind [`evaluate_with_threads`] (and the
-/// suffix-evaluation path in `ftclip_core`): splits `batches` contiguous
-/// batch indices across `threads` scoped workers and sums each worker's
-/// count. Keeping every sharded scorer on this single implementation is
-/// what makes their results comparable bit for bit — the split convention
-/// can never diverge between callers.
-///
-/// The convention: `min(threads, batches)` workers, contiguous ranges with
-/// the first `batches % workers` workers taking one extra batch, each
-/// worker running under [`ftclip_tensor::with_thread_limit`] with its share
-/// of the remaining budget (the first `threads % workers` workers absorb
-/// the remainder). With one worker the scorer runs inline — still under
-/// the explicit budget, so a `threads: 1` baseline never silently
-/// parallelizes the kernels underneath. Bit-identical at any thread count
-/// whenever `count` is pure per range: each batch is scored by exactly one
-/// worker and the summed counts are order-independent.
-pub fn sharded_batch_sum(
-    batches: usize,
-    threads: usize,
-    count: impl Fn(std::ops::Range<usize>) -> usize + Sync,
-) -> usize {
-    let workers = threads.max(1).min(batches);
-    if workers <= 1 {
-        return ftclip_tensor::with_thread_limit(threads.max(1), || count(0..batches));
-    }
-    let inner = threads / workers;
-    let spare_threads = threads % workers; // first workers absorb the remainder
-    let base = batches / workers;
-    let extra = batches % workers;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut b0 = 0usize;
-        for w in 0..workers {
-            let n = base + usize::from(w < extra);
-            let range = b0..b0 + n;
-            b0 += n;
-            let budget = inner + usize::from(w < spare_threads);
-            let count = &count;
-            handles.push(scope.spawn(move || ftclip_tensor::with_thread_limit(budget, || count(range))));
-        }
-        // re-raise a worker's own payload so its cause (e.g. a cancelled
-        // campaign) reaches the caller's catch_unwind intact
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .sum()
-    })
-}
-
-/// Correct-classification count over a contiguous range of batch indices.
-fn correct_in_batches(
+/// Correct-classification count of batch `b` (images `[b·bs, (b+1)·bs)`).
+fn correct_in_batch(
     net: &Sequential,
     images: &Tensor,
     labels: &[usize],
     bs: usize,
-    batches: std::ops::Range<usize>,
+    b: usize,
     scratch: &mut crate::Scratch,
 ) -> usize {
     let n = images.shape()[0];
     let stride: usize = images.shape().dims()[1..].iter().product();
+    let start = b * bs;
+    let end = (start + bs).min(n);
+    // copy the batch into recycled storage (what slice_batch does, minus
+    // the per-batch allocation of the image data)
+    let mut buf = scratch.buffer((end - start) * stride);
+    buf.copy_from_slice(&images.data()[start * stride..end * stride]);
     let mut dims = images.shape().dims().to_vec();
-    let mut correct = 0usize;
-    for b in batches {
-        let start = b * bs;
-        let end = (start + bs).min(n);
-        // copy the batch into recycled storage (what slice_batch does, minus
-        // the per-batch allocation) so the steady-state loop stays heap-free
-        let mut buf = scratch.buffer((end - start) * stride);
-        buf.copy_from_slice(&images.data()[start * stride..end * stride]);
-        dims[0] = end - start;
-        let bx = Tensor::from_vec(buf, &dims).expect("batch volume matches");
-        let logits = net.execute(&bx, Span::full(), scratch);
-        correct += logits
-            .argmax_rows()
-            .iter()
-            .zip(&labels[start..end])
-            .filter(|(p, l)| p == l)
-            .count();
-        scratch.recycle(logits.into_vec());
-        scratch.recycle(bx.into_vec());
-    }
+    dims[0] = end - start;
+    let bx = Tensor::from_vec(buf, &dims).expect("batch volume matches");
+    let logits = net.execute(&bx, Span::full(), scratch);
+    let correct = logits
+        .argmax_rows()
+        .iter()
+        .zip(&labels[start..end])
+        .filter(|(p, l)| p == l)
+        .count();
+    scratch.recycle(logits.into_vec());
+    scratch.recycle(bx.into_vec());
     correct
 }
 
@@ -488,23 +437,6 @@ mod tests {
         let c = evaluate(&net, &x, &y, 3);
         assert_eq!(a, b);
         assert_eq!(b, c);
-    }
-
-    #[test]
-    fn sharded_evaluation_panics_keep_their_payload() {
-        #[derive(Debug, PartialEq)]
-        struct Cause(usize);
-        // four batches over two workers: the second worker's range panics
-        let caught = std::panic::catch_unwind(|| {
-            sharded_batch_sum(4, 2, |range| {
-                if range.start > 0 {
-                    std::panic::panic_any(Cause(range.start));
-                }
-                range.len()
-            })
-        })
-        .expect_err("the worker's panic must reach the caller");
-        assert_eq!(caught.downcast_ref::<Cause>(), Some(&Cause(2)), "payload replaced");
     }
 
     #[test]

@@ -43,8 +43,9 @@ pub struct ServeConfig {
     pub state_dir: PathBuf,
     /// Concurrent campaign workers.
     pub workers: usize,
-    /// Total thread budget shared by the workers (each gets its remainder
-    /// share, exactly like `Runner::run_batch`).
+    /// Total thread budget shared by the workers (worker `w` runs under
+    /// `ftclip_tensor::budget_share(threads, workers, w)`, the split every
+    /// fan-out uses).
     pub threads: usize,
     /// Base run settings for every job. `out_dir` is ignored — each job
     /// writes to its own result directory; `cache_root` and `assets_dir`
@@ -175,12 +176,12 @@ impl Server {
             admin_token: config.admin_token.clone(),
         });
 
-        let inner = threads / workers;
-        let spare = threads % workers;
+        // long-lived workers outlive any scope, so they split the budget
+        // with `budget_share` rather than through `fan_out`
         let worker_handles = (0..workers)
             .map(|w| {
                 let scheduler = scheduler.clone();
-                let budget = (inner + usize::from(w < spare)).max(1);
+                let budget = ftclip_tensor::budget_share(threads, workers, w);
                 std::thread::spawn(move || scheduler.worker_loop(budget))
             })
             .collect();

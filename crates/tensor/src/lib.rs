@@ -39,6 +39,9 @@
 //!   elements, each replaying the scalar ascending-`k` chain with a separate
 //!   multiply and add (never FMA), and int8 accumulation is exact.
 //! * Threading uses `std::thread::scope`; no runtime dependency is needed.
+//!   [`fan_out`] is the one way the workspace splits a thread budget over
+//!   independent items (each worker takes its [`budget_share`]), and
+//!   [`par_row_bands`] the kernels' split of an output into row bands.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,6 +68,6 @@ pub use int8::{
     matmul_i16_pairs_into, matmul_i8_nt_into,
 };
 pub use matmul::{gemm_accumulate, matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_tn};
-pub use par::{num_threads, par_row_bands, with_thread_limit};
+pub use par::{budget_share, fan_out, num_threads, par_row_bands, with_thread_limit};
 pub use shape::Shape;
 pub use tensor::Tensor;

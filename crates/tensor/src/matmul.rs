@@ -333,30 +333,18 @@ fn axpy_strip(a_v: f32, b: &[f32], base: usize, c_strip: &mut [f32]) {
 fn matmul_into_col_parallel(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let threads = crate::par::num_threads();
     let band = n.div_ceil(threads);
-    let results: Vec<(usize, usize, Vec<f32>)> = {
-        let c_init: &[f32] = c;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let j0 = t * band;
-                if j0 >= n {
-                    break;
-                }
-                let j1 = ((t + 1) * band).min(n);
-                let width = j1 - j0;
-                handles.push(scope.spawn(move || {
-                    let mut local = vec![0.0f32; m * width];
-                    for i in 0..m {
-                        local[i * width..(i + 1) * width]
-                            .copy_from_slice(&c_init[i * n + j0..i * n + j0 + width]);
-                    }
-                    accumulate_band(a, b, &mut local, 0, k, n, width, j0);
-                    (j0, width, local)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("matmul worker panicked")).collect()
-        })
+    let c_init: &[f32] = c;
+    let column_band = |t: usize| {
+        let j0 = t * band;
+        let width = band.min(n - j0);
+        let mut local = vec![0.0f32; m * width];
+        for i in 0..m {
+            local[i * width..(i + 1) * width].copy_from_slice(&c_init[i * n + j0..i * n + j0 + width]);
+        }
+        accumulate_band(a, b, &mut local, 0, k, n, width, j0);
+        (j0, width, local)
     };
+    let results = crate::par::fan_out(threads, n.div_ceil(band), || (), |(), t| column_band(t));
     for (j0, width, local) in results {
         for i in 0..m {
             c[i * n + j0..i * n + j0 + width].copy_from_slice(&local[i * width..(i + 1) * width]);

@@ -233,6 +233,41 @@ fn the_two_diagrams_moved_to_the_architecture_guide() {
     }
 }
 
+/// Structure guard for the one thread-budget fan-out: library code splits
+/// a budget through `ftclip_tensor::fan_out` (or the kernels'
+/// `par_row_bands`), so no crate source outside `crates/tensor/src/par.rs`
+/// opens its own `thread::scope` above its `#[cfg(test)]` module. Binaries
+/// under `src/bin/` are exempt: a load client's threads split no budget.
+#[test]
+fn only_the_fan_out_primitive_opens_a_thread_scope() {
+    let root = repo_root();
+    let allowed = root.join("crates/tensor/src/par.rs");
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    let mut offenders: Vec<String> = files
+        .iter()
+        .filter(|file| **file != allowed)
+        .filter(|file| {
+            let rel = file.strip_prefix(root.join("crates")).expect("under crates/");
+            let parts: Vec<_> =
+                rel.components().map(|c| c.as_os_str().to_string_lossy().into_owned()).collect();
+            parts.get(1).is_some_and(|dir| dir == "src") && parts.get(2).is_none_or(|dir| dir != "bin")
+        })
+        .filter(|file| {
+            let text = std::fs::read_to_string(file).unwrap();
+            let library = text.split("#[cfg(test)]").next().unwrap_or_default();
+            library.contains("thread::scope(")
+        })
+        .map(|file| file.display().to_string())
+        .collect();
+    offenders.sort();
+    assert!(
+        offenders.is_empty(),
+        "library code outside par.rs opens its own thread scope; use ftclip_tensor::fan_out:\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };

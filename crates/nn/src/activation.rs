@@ -66,36 +66,51 @@ impl Activation {
     pub fn apply_scalar(&self, x: f32) -> f32 {
         match *self {
             Activation::Identity => x,
-            Activation::Relu => {
-                if x > 0.0 {
-                    x
-                } else {
-                    0.0
-                }
+            Activation::Relu => relu(x),
+            Activation::ClippedRelu { threshold } => clipped_relu(x, threshold),
+            Activation::SaturatedRelu { threshold } => saturated_relu(x, threshold),
+            Activation::LeakyRelu { slope } => leaky_relu(x, slope),
+            Activation::ClippedLeakyRelu { slope, threshold } => clipped_leaky_relu(x, slope, threshold),
+        }
+    }
+
+    /// The fused bias + activation pass: `row[i] = act(row[i] + b_i)`, with
+    /// `b_i` the `i`-th item of `bias` (`act = None` adds the bias only).
+    ///
+    /// Every inference epilogue runs through here: the `f32` plan's fused
+    /// convolution (one broadcast bias per output-channel row) and linear
+    /// (one bias per feature) nodes, the standalone activation layer, and
+    /// the int8 plan after dequantization. The variant is matched **once per
+    /// call**, so each arm is a straight loop the compiler can vectorize;
+    /// each arm evaluates the same expression as [`Activation::apply_scalar`],
+    /// so every output bit equals `apply_scalar(row[i] + b_i)`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ftclip_nn::Activation;
+    ///
+    /// let mut row = [0.5, 3.0, -1.0];
+    /// Activation::bias_act(Some(Activation::ClippedRelu { threshold: 2.0 }), &mut row, [1.0; 3]);
+    /// assert_eq!(row, [1.5, 0.0, 0.0]);
+    /// ```
+    pub fn bias_act(act: Option<Activation>, row: &mut [f32], bias: impl IntoIterator<Item = f32>) {
+        #[inline(always)]
+        fn pass(row: &mut [f32], bias: impl IntoIterator<Item = f32>, f: impl Fn(f32) -> f32) {
+            for (v, b) in row.iter_mut().zip(bias) {
+                *v = f(*v + b);
             }
-            Activation::ClippedRelu { threshold } => {
-                if x >= 0.0 && x <= threshold {
-                    x
-                } else {
-                    0.0
-                }
+        }
+        match act {
+            None | Some(Activation::Identity) => pass(row, bias, |x| x),
+            Some(Activation::Relu) => pass(row, bias, relu),
+            Some(Activation::ClippedRelu { threshold }) => pass(row, bias, |x| clipped_relu(x, threshold)),
+            Some(Activation::SaturatedRelu { threshold }) => {
+                pass(row, bias, |x| saturated_relu(x, threshold))
             }
-            Activation::SaturatedRelu { threshold } => x.clamp(0.0, threshold),
-            Activation::LeakyRelu { slope } => {
-                if x >= 0.0 {
-                    x
-                } else {
-                    slope * x
-                }
-            }
-            Activation::ClippedLeakyRelu { slope, threshold } => {
-                if x < 0.0 {
-                    slope * x
-                } else if x <= threshold {
-                    x
-                } else {
-                    0.0
-                }
+            Some(Activation::LeakyRelu { slope }) => pass(row, bias, |x| leaky_relu(x, slope)),
+            Some(Activation::ClippedLeakyRelu { slope, threshold }) => {
+                pass(row, bias, |x| clipped_leaky_relu(x, slope, threshold))
             }
         }
     }
@@ -195,6 +210,52 @@ impl Activation {
     /// `true` for variants that bound their output range.
     pub fn is_clipped(&self) -> bool {
         self.threshold().is_some()
+    }
+}
+
+// The scalar rule of each variant, shared by `apply_scalar` and the row pass
+// of `bias_act` so the two cannot drift apart.
+
+#[inline(always)]
+fn relu(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
+}
+
+#[inline(always)]
+fn clipped_relu(x: f32, threshold: f32) -> f32 {
+    if x >= 0.0 && x <= threshold {
+        x
+    } else {
+        0.0
+    }
+}
+
+#[inline(always)]
+fn saturated_relu(x: f32, threshold: f32) -> f32 {
+    x.clamp(0.0, threshold)
+}
+
+#[inline(always)]
+fn leaky_relu(x: f32, slope: f32) -> f32 {
+    if x >= 0.0 {
+        x
+    } else {
+        slope * x
+    }
+}
+
+#[inline(always)]
+fn clipped_leaky_relu(x: f32, slope: f32, threshold: f32) -> f32 {
+    if x < 0.0 {
+        slope * x
+    } else if x <= threshold {
+        x
+    } else {
+        0.0
     }
 }
 

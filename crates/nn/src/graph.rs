@@ -21,7 +21,10 @@
 //!   ([`ftclip_tensor::im2col_image_overwrite`]) and accumulates the blocked
 //!   matmul directly into the batched NCHW output
 //!   ([`ftclip_tensor::gemm_accumulate`]) — no batch-wide column matrix, no
-//!   separate scatter or activation passes;
+//!   separate scatter or activation passes. The gather, the bias +
+//!   activation pass ([`Activation::bias_act`]) and the fused pool
+//!   ([`ftclip_tensor::max_pool_planes`]) are the same functions the int8
+//!   plan runs;
 //! * **elides** inference no-ops (`Dropout`) and turns `Flatten` into a
 //!   zero-copy reshape when the executor owns the buffer;
 //! * **plans buffer liveness**: at execution, each node's consumed input is
@@ -60,8 +63,8 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ftclip_tensor::{
-    conv_output_size, gemm_accumulate, im2col_image_overwrite, matmul_nt_into, num_threads, par_row_bands,
-    Tensor,
+    conv_output_size, gemm_accumulate, im2col_image_overwrite, matmul_nt_into, max_pool_planes, num_threads,
+    par_row_bands, Tensor,
 };
 
 use crate::activation::Activation;
@@ -377,8 +380,14 @@ fn reshape_flat(owned: Option<Tensor>, x: &Tensor, scratch: &mut Scratch) -> Ten
     }
 }
 
-/// The fused activation function of a node, read live from the network.
-fn live_activation(layers: &[Layer], act: Option<usize>) -> Option<Activation> {
+/// The fused activation function of a plan node (`act` = its layer index,
+/// as in [`PlanNode::ConvAct`] / [`PlanNode::LinearAct`]), read live from
+/// the network's layers — the one lookup both inference engines use.
+///
+/// # Panics
+///
+/// Panics if layer `act` is not an activation.
+pub fn live_activation(layers: &[Layer], act: Option<usize>) -> Option<Activation> {
     act.map(|ai| match &layers[ai] {
         Layer::Activation(a) => a.func,
         other => panic!("plan node expects an activation at layer {ai}, found {}", other.kind()),
@@ -466,42 +475,6 @@ fn exec_conv(
     Tensor::from_vec(out_buf, &[n, oc, out_h, out_w]).expect("conv output volume matches")
 }
 
-/// Max-pools `c` contiguous `h × w` planes into `dst`, replicating the exact
-/// window scan of [`crate::MaxPool2d::forward`] (`ky`/`kx` ascending, strict
-/// `>` so ties keep the first element, clipped at the plane edge) — the
-/// pooled bits cannot differ from the unfused layer's.
-fn max_pool_planes(src: &[f32], c: usize, h: usize, w: usize, kernel: usize, stride: usize, dst: &mut [f32]) {
-    let oh = conv_output_size(h, kernel, stride, 0);
-    let ow = conv_output_size(w, kernel, stride, 0);
-    let mut o = 0usize;
-    for ci in 0..c {
-        let plane = ci * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for ky in 0..kernel {
-                    let iy = oy * stride + ky;
-                    if iy >= h {
-                        break;
-                    }
-                    for kx in 0..kernel {
-                        let ix = ox * stride + kx;
-                        if ix >= w {
-                            break;
-                        }
-                        let v = src[plane + iy * w + ix];
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                }
-                dst[o] = best;
-                o += 1;
-            }
-        }
-    }
-}
-
 /// One image of the fused convolution: gather, accumulate, bias + activate.
 #[allow(clippy::too_many_arguments)]
 fn conv_image(
@@ -521,18 +494,7 @@ fn conv_image(
     im2col_image_overwrite(img, ic, h, w, geom, cols);
     gemm_accumulate(w_data, cols, img_out, cols.len() / l, l);
     for (seg, &b) in img_out.chunks_mut(l).zip(b_data) {
-        match act {
-            Some(a) => {
-                for v in seg {
-                    *v = a.apply_scalar(*v + b);
-                }
-            }
-            None => {
-                for v in seg {
-                    *v += b;
-                }
-            }
-        }
+        Activation::bias_act(act, seg, std::iter::repeat(b));
     }
 }
 
@@ -555,18 +517,8 @@ fn exec_linear(
     let mut y = Tensor::from_vec(scratch.buffer(n * out_f), &[n, out_f]).expect("output volume matches");
     matmul_nt_into(src, linear.weight(), &mut y);
     let bias = linear.bias().data();
-    if let Some(a) = act {
-        for row in y.data_mut().chunks_mut(out_f) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v = a.apply_scalar(*v + b);
-            }
-        }
-    } else {
-        for row in y.data_mut().chunks_mut(out_f) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
+    for row in y.data_mut().chunks_mut(out_f) {
+        Activation::bias_act(act, row, bias.iter().copied());
     }
     y
 }

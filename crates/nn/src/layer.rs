@@ -175,9 +175,10 @@ impl Layer {
             Layer::Linear(l) => l.forward_scratch(x, scratch),
             Layer::Activation(a) => {
                 let mut buf = scratch.buffer(x.len());
-                for (o, &v) in buf.iter_mut().zip(x.data()) {
-                    *o = a.func.apply_scalar(v);
-                }
+                buf.copy_from_slice(x.data());
+                // `v + -0.0` is `v` bit for bit (signed zeros included), so
+                // this is `apply_scalar(v)` per element
+                Activation::bias_act(Some(a.func), &mut buf, std::iter::repeat(-0.0));
                 Tensor::from_vec(buf, x.shape().dims()).expect("activation preserves shape")
             }
             Layer::Flatten { .. } => {

@@ -1,5 +1,7 @@
 //! Property-based tests for the CNN engine: activation invariants,
-//! serialization roundtrips and loss-function laws.
+//! serialization roundtrips, loss-function laws, and the bit identity of the
+//! shared inference passes (bias + activation, max-pool) with their
+//! per-element and per-layer references.
 
 use ftclip_nn::{
     read_network, write_network, Activation, AvgPool2d, BatchNorm2d, Dropout, Layer, MaxPool2d, Sequential,
@@ -270,5 +272,109 @@ proptest! {
         net.convert_to_clipped(&[threshold]);
         let after = net.execute(&x, Span::full(), &mut scratch);
         prop_assert!(before.approx_eq(&after, 1e-6));
+    }
+}
+
+/// Deterministic hash of `(seed, i)` for the special-value fills below.
+fn mix(seed: u64, i: usize) -> u64 {
+    (seed ^ 0x9e37_79b9_7f4a_7c15)
+        .wrapping_mul(i as u64 * 2 + 1)
+        .wrapping_mul(0x2545_f491_4f6c_dd1d)
+        >> 33
+}
+
+/// Pre-activations and biases that probe every branch edge of the
+/// activation rules: NaN, ±0, ±∞, subnormals, the extremes, and (for a
+/// clipped variant) the threshold and its neighbours.
+fn epilogue_specials(act: Option<Activation>) -> Vec<f32> {
+    let mut v = vec![
+        f32::NAN,
+        -f32::NAN,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 4.0,
+        f32::MAX,
+        f32::MIN,
+        1.0,
+        -1.0,
+    ];
+    if let Some(t) = act.and_then(|a| a.threshold()) {
+        v.extend([t, t.next_up(), t.next_down(), -t]);
+    }
+    v
+}
+
+proptest! {
+    #[test]
+    fn bias_act_matches_apply_scalar_bit_for_bit(
+        act in prop_oneof![Just(None), activation_strategy().prop_map(Some)],
+        extra in proptest::collection::vec(-8.0f32..8.0, 0..40),
+    ) {
+        // rows long enough for the vectorized body and its tail: the
+        // specials, then random values
+        let specials = epilogue_specials(act);
+        let mut xs = specials.clone();
+        xs.extend(&extra);
+        let want = |x: f32, b: f32| act.map_or(x + b, |a| a.apply_scalar(x + b)).to_bits();
+        // a broadcast bias per row (the conv epilogue) ...
+        for &b in specials.iter().chain(&[0.25, -3.0]) {
+            let mut row = xs.clone();
+            Activation::bias_act(act, &mut row, std::iter::repeat(b));
+            for (&x, &y) in xs.iter().zip(&row) {
+                prop_assert_eq!(y.to_bits(), want(x, b), "{:?}: act({} + {}) = {}", act, x, b, y);
+            }
+        }
+        // ... and one bias per element (the linear epilogue)
+        let biases: Vec<f32> = (0..xs.len()).map(|i| specials[(i * 7 + 3) % specials.len()]).collect();
+        let mut row = xs.clone();
+        Activation::bias_act(act, &mut row, biases.iter().copied());
+        for ((&x, &b), &y) in xs.iter().zip(&biases).zip(&row) {
+            prop_assert_eq!(y.to_bits(), want(x, b), "{:?}: act({} + {}) = {}", act, x, b, y);
+        }
+    }
+
+    #[test]
+    fn shared_max_pool_matches_the_layer_bit_for_bit(
+        c in 1usize..4,
+        h in 2usize..9,
+        w in 2usize..9,
+        kernel in prop_oneof![Just(2usize), Just(3usize)],
+        stride in 1usize..3,
+        nan_share in 0u64..8,
+        seed in 0u64..1000,
+    ) {
+        // the pass both inference plans fuse behind a conv, against the
+        // standalone `MaxPool2d` scan: NaN (at a seed-chosen density, so
+        // all-NaN windows occur), ±0 and ±∞ ties, small-integer ties, odd
+        // extents that leave a trailing row or column unread
+        prop_assume!(h >= kernel && w >= kernel);
+        let n = 2;
+        let data: Vec<f32> = (0..n * c * h * w)
+            .map(|i| {
+                let r = mix(seed, i);
+                if r % 8 < nan_share {
+                    return if r % 16 < 8 { f32::NAN } else { -f32::NAN };
+                }
+                match (r >> 4) % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    k => k as f32 - 5.0,
+                }
+            })
+            .collect();
+        let x = Tensor::from_vec(data, &[n, c, h, w]).unwrap();
+        let want = MaxPool2d::new(kernel, stride).forward(&x);
+        let mut got = vec![1.5f32; want.len()];
+        ftclip_tensor::max_pool_planes(x.data(), n * c, h, w, kernel, stride, &mut got);
+        let want_bits: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+        let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got_bits, want_bits, "{}x{} pool, stride {}, {}x{} planes", kernel, kernel, stride, h, w);
     }
 }

@@ -26,12 +26,16 @@
 //!
 //! # Arithmetic contract
 //!
-//! Matrix products accumulate in `i32` ([`ftclip_tensor::gemm_i8_accumulate`],
-//! [`ftclip_tensor::matmul_i8_nt_into`]); integer addition is exact and
-//! associative, so the kernels re-associate freely for speed and are still
-//! deterministic — the same plan and input always produce the same logits.
-//! Dequantization, bias, activation and pooling run in `f32` per node, then
-//! requantize for the next node; the final compute node emits `f32` logits.
+//! Matrix products accumulate in `i32` (convolutions:
+//! [`ftclip_tensor::matmul_i16_pairs_into`] over the pair-interleaved
+//! gather; linear layers: [`ftclip_tensor::matmul_i8_nt_into`]); integer
+//! addition is exact and associative, so the kernels re-associate freely for
+//! speed and are still deterministic — the same plan and input always
+//! produce the same logits. Dequantization, bias, activation and pooling
+//! run in `f32` per node through the passes the `f32` engine runs
+//! ([`ftclip_nn::Activation::bias_act`], [`ftclip_tensor::max_pool_planes`]),
+//! then requantize for the next node; the final compute node emits `f32`
+//! logits.
 //!
 //! The `f32` path is untouched by everything in this crate: quantization
 //! reads the trained network immutably, and all int8 state lives in the

@@ -1,9 +1,9 @@
 //! Lowering a trained network into an int8 plan, and executing it.
 
-use ftclip_nn::{Activation, Layer, PlanNode, Scratch, Sequential, Span};
+use ftclip_nn::{live_activation, Activation, Layer, PlanNode, Scratch, Sequential, Span};
 use ftclip_tensor::{
-    conv_output_size, im2col_i8_image_overwrite, interleave_widen_pairs, matmul_i16_pairs_into,
-    matmul_i8_nt_into, Conv2dGeometry, Tensor,
+    conv_output_size, im2col_image_overwrite, interleave_widen_pairs, matmul_i16_pairs_into,
+    matmul_i8_nt_into, max_pool_planes, Conv2dGeometry, Tensor,
 };
 
 use crate::qtensor::{absmax, quantize_slice, quantize_value, scale_for};
@@ -140,7 +140,7 @@ impl QuantizedPlan {
                         ic: c.in_channels(),
                         oc: c.out_channels(),
                         geom: c.geometry(),
-                        act: activation_of(net, act),
+                        act: live_activation(net.layers(), act),
                         pool: pool.map(|pi| match &net.layers()[pi] {
                             Layer::MaxPool2d(p) => (p.kernel(), p.stride()),
                             other => panic!("plan node expects a max-pool, found {}", other.kind()),
@@ -166,7 +166,7 @@ impl QuantizedPlan {
                         bias: l.bias().data().to_vec(),
                         in_f: l.in_features(),
                         out_f: l.out_features(),
-                        act: activation_of(net, act),
+                        act: live_activation(net.layers(), act),
                         in_scale: act_scale,
                         out_scale,
                     });
@@ -281,31 +281,14 @@ impl QuantizedPlan {
                     let mut q_out = vec![0i8; if out_scale.is_some() { n * oc * out_l } else { 0 }];
                     let mut f_out = vec![0f32; if out_scale.is_none() { n * oc * out_l } else { 0 }];
                     for i in 0..n {
-                        im2col_i8_image_overwrite(&q[i * chw..(i + 1) * chw], *ic, h, w, *geom, &mut cols8);
+                        im2col_image_overwrite(&q[i * chw..(i + 1) * chw], *ic, h, w, *geom, &mut cols8);
                         interleave_widen_pairs(&cols8, kk, l, &mut cols);
                         matmul_i16_pairs_into(&wide, &cols, &mut acc, kk_pad, l);
-                        for ((seg, dst), &b) in acc.chunks(l).zip(stage.chunks_mut(l)).zip(bias) {
-                            match act {
-                                // the overwhelmingly common activation gets
-                                // a branch-free fused loop the vectorizer
-                                // can take; everything else goes through the
-                                // generic per-element path
-                                Some(Activation::Relu) => {
-                                    for (s, &v) in dst.iter_mut().zip(seg) {
-                                        *s = (v as f32 * dq + b).max(0.0);
-                                    }
-                                }
-                                Some(a) => {
-                                    for (s, &v) in dst.iter_mut().zip(seg) {
-                                        *s = a.apply_scalar(v as f32 * dq + b);
-                                    }
-                                }
-                                None => {
-                                    for (s, &v) in dst.iter_mut().zip(seg) {
-                                        *s = v as f32 * dq + b;
-                                    }
-                                }
-                            }
+                        for (s, &v) in stage.iter_mut().zip(&acc) {
+                            *s = v as f32 * dq;
+                        }
+                        for (seg, &b) in stage.chunks_mut(l).zip(bias) {
+                            Activation::bias_act(*act, seg, std::iter::repeat(b));
                         }
                         let planes: &[f32] = match pool {
                             Some((pk, ps)) => {
@@ -338,27 +321,13 @@ impl QuantizedPlan {
                     matmul_i8_nt_into(&q, weight, &mut acc, *in_f, *out_f);
                     let dq = in_scale * w_scale;
                     dims = vec![n, *out_f];
+                    let mut f_out: Vec<f32> = acc.iter().map(|&v| v as f32 * dq).collect();
+                    for row in f_out.chunks_mut(*out_f) {
+                        Activation::bias_act(*act, row, bias.iter().copied());
+                    }
                     match out_scale {
-                        Some(s) => {
-                            let mut q_out = vec![0i8; n * out_f];
-                            for (row, q_row) in acc.chunks(*out_f).zip(q_out.chunks_mut(*out_f)) {
-                                for ((dst, &v), &b) in q_row.iter_mut().zip(row).zip(bias) {
-                                    let y = v as f32 * dq + b;
-                                    *dst = quantize_value(act.map_or(y, |a| a.apply_scalar(y)), *s);
-                                }
-                            }
-                            q = q_out;
-                        }
-                        None => {
-                            let mut f_out = vec![0f32; n * out_f];
-                            for (row, f_row) in acc.chunks(*out_f).zip(f_out.chunks_mut(*out_f)) {
-                                for ((dst, &v), &b) in f_row.iter_mut().zip(row).zip(bias) {
-                                    let y = v as f32 * dq + b;
-                                    *dst = act.map_or(y, |a| a.apply_scalar(y));
-                                }
-                            }
-                            logits = Some((f_out, *out_f));
-                        }
+                        Some(s) => q = f_out.iter().map(|&v| quantize_value(v, *s)).collect(),
+                        None => logits = Some((f_out, *out_f)),
                     }
                 }
             }
@@ -392,68 +361,6 @@ impl QuantizedPlan {
             start = end;
         }
         correct as f64 / n as f64
-    }
-}
-
-/// The fused activation at layer index `act`, read from the network.
-fn activation_of(net: &Sequential, act: Option<usize>) -> Option<Activation> {
-    act.map(|ai| match &net.layers()[ai] {
-        Layer::Activation(a) => a.func,
-        other => panic!("plan node expects an activation at layer {ai}, found {}", other.kind()),
-    })
-}
-
-/// Max-pools `c` contiguous `h × w` planes into `dst` — the same window scan
-/// as the f32 engine (`ky`/`kx` ascending, strict `>`, clipped at the edge).
-fn max_pool_planes(src: &[f32], c: usize, h: usize, w: usize, kernel: usize, stride: usize, dst: &mut [f32]) {
-    let oh = conv_output_size(h, kernel, stride, 0);
-    let ow = conv_output_size(w, kernel, stride, 0);
-    // every pool in the reproduced networks is 2×2/stride-2 with even
-    // extents; that case never clips at an edge, so a branch-free
-    // max-of-four scan over row pairs replaces the window loop
-    if kernel == 2 && stride == 2 && oh * 2 == h && ow * 2 == w {
-        for ci in 0..c {
-            let plane = &src[ci * h * w..(ci + 1) * h * w];
-            let out = &mut dst[ci * oh * ow..(ci + 1) * oh * ow];
-            for oy in 0..oh {
-                let top = &plane[oy * 2 * w..oy * 2 * w + w];
-                let bot = &plane[(oy * 2 + 1) * w..(oy * 2 + 1) * w + w];
-                let row = &mut out[oy * ow..(oy + 1) * ow];
-                for ox in 0..ow {
-                    let a = top[ox * 2].max(top[ox * 2 + 1]);
-                    let b = bot[ox * 2].max(bot[ox * 2 + 1]);
-                    row[ox] = a.max(b);
-                }
-            }
-        }
-        return;
-    }
-    let mut o = 0usize;
-    for ci in 0..c {
-        let plane = ci * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for ky in 0..kernel {
-                    let iy = oy * stride + ky;
-                    if iy >= h {
-                        break;
-                    }
-                    for kx in 0..kernel {
-                        let ix = ox * stride + kx;
-                        if ix >= w {
-                            break;
-                        }
-                        let v = src[plane + iy * w + ix];
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                }
-                dst[o] = best;
-                o += 1;
-            }
-        }
     }
 }
 

@@ -186,31 +186,36 @@ pub fn im2col_batch_into(images: &Tensor, geom: Conv2dGeometry, dst: &mut [f32])
 
 /// Unrolls **one** image (a `[c, h, w]` slice of a batch) into a column
 /// matrix `[c·k·k, oh·ow]`, **overwriting every element of `dst`** — padding
-/// positions are written as explicit `0.0`, so recycled storage needs no
-/// zero-fill pass.
+/// positions are written as `T::default()` (`0.0` for `f32`, `0` for the
+/// int8 engine's zero-point-0 `i8`), so recycled storage needs no zero-fill
+/// pass.
 ///
-/// This is the gather step of the im2col-elided convolution plan: instead of
-/// materializing one batch-wide column matrix (`n·oh·ow` columns, often tens
-/// of megabytes), the executor unrolls one image at a time into a small
-/// cache-resident buffer that is reused across the whole batch. The values
-/// written are exactly those of [`im2col_batch_into`] for the corresponding
-/// image, so any kernel consuming them is bit-identical to the batched path.
+/// This is the gather step of both engines' im2col-elided convolution:
+/// instead of materializing one batch-wide column matrix (`n·oh·ow`
+/// columns, often tens of megabytes), the executor unrolls one image at a
+/// time into a small cache-resident buffer that is reused across the whole
+/// batch. The values written are exactly those of [`im2col_batch_into`] for
+/// the corresponding image, so any kernel consuming them is bit-identical to
+/// the batched path.
 ///
-/// For stride-1 geometries each `(channel, tap, output-row)` maps to one
-/// contiguous input run, which is copied with `copy_from_slice` instead of a
-/// per-element loop.
+/// For stride-1 "same" geometry (`ow == w`, every conv in the paper's
+/// models) source and destination share the row stride, so each tap's whole
+/// in-bounds block is **one** contiguous copy at a constant offset; the
+/// padding rows and the few wrapped-in elements at the row seams are zeroed
+/// afterwards. Other stride-1 geometries copy one contiguous run per output
+/// row; strided ones gather element by element.
 ///
 /// # Panics
 ///
 /// Panics if `image` is not `c·h·w` elements or `dst` is not
 /// `c·k·k × oh·ow` elements.
-pub fn im2col_image_overwrite(
-    image: &[f32],
+pub fn im2col_image_overwrite<T: Copy + Default>(
+    image: &[T],
     c: usize,
     h: usize,
     w: usize,
     geom: Conv2dGeometry,
-    dst: &mut [f32],
+    dst: &mut [T],
 ) {
     let (oh, ow) = geom.output_size(h, w);
     let k = geom.kernel;
@@ -218,31 +223,64 @@ pub fn im2col_image_overwrite(
     assert_eq!(image.len(), c * h * w, "im2col_image_overwrite image size mismatch");
     assert_eq!(dst.len(), c * k * k * l, "im2col_image_overwrite destination size mismatch");
     let (stride, pad) = (geom.stride, geom.pad);
+    let zero = T::default();
     for ci in 0..c {
         for ky in 0..k {
             for kx in 0..k {
                 let row = (ci * k + ky) * k + kx;
-                let row_base = row * l;
+                let tap = &mut dst[row * l..(row + 1) * l];
+                // at stride 1 (ix = ox + kx - pad), output columns `lo..hi` read
+                // inside the image
+                let lo = pad.saturating_sub(kx).min(ow);
+                let hi = (w + pad).saturating_sub(kx).min(ow).max(lo);
+                if stride == 1 && ow == w {
+                    // output index d reads input index d + (ky - pad)·w + (kx - pad):
+                    // in-bounds rows `y0..y1` are one bulk move, which replaces
+                    // `oh` short per-row copies whose dispatch overhead dominates
+                    let y0 = pad.saturating_sub(ky).min(oh);
+                    let y1 = (h + pad).saturating_sub(ky).min(oh).max(y0);
+                    tap[..y0 * ow].fill(zero);
+                    tap[y1 * ow..].fill(zero);
+                    if y0 < y1 && lo < hi {
+                        let dst_first = y0 * ow + lo;
+                        let dst_last = (y1 - 1) * ow + hi;
+                        let src_first = (ci * h + y0 + ky - pad) * w + lo + kx - pad;
+                        tap[dst_first..dst_last]
+                            .copy_from_slice(&image[src_first..src_first + (dst_last - dst_first)]);
+                        for seam in tap[y0 * ow..y1 * ow].chunks_exact_mut(ow) {
+                            // the bulk copy filled these (≤ `pad` each side) with
+                            // wrapped neighbours; plain stores, since a `fill`
+                            // of an `i8` run is a `memset` call per seam
+                            for slot in &mut seam[..lo] {
+                                *slot = zero;
+                            }
+                            for slot in &mut seam[hi..] {
+                                *slot = zero;
+                            }
+                        }
+                    } else {
+                        tap[y0 * ow..y1 * ow].fill(zero);
+                    }
+                    continue;
+                }
                 for oy in 0..oh {
                     let iy = (oy * stride + ky) as isize - pad as isize;
-                    let dst_row = &mut dst[row_base + oy * ow..row_base + oy * ow + ow];
+                    let dst_row = &mut tap[oy * ow..oy * ow + ow];
                     if iy < 0 || iy >= h as isize {
-                        dst_row.fill(0.0);
+                        dst_row.fill(zero);
                         continue;
                     }
                     let src_row = &image[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
                     if stride == 1 {
-                        // ix = ox + kx - pad: one contiguous run, zero edges
-                        let lo = pad.saturating_sub(kx).min(ow);
-                        let hi = (w + pad).saturating_sub(kx).min(ow).max(lo);
-                        dst_row[..lo].fill(0.0);
-                        let src_lo = lo + kx - pad;
-                        dst_row[lo..hi].copy_from_slice(&src_row[src_lo..src_lo + (hi - lo)]);
-                        dst_row[hi..].fill(0.0);
+                        dst_row[..lo].fill(zero);
+                        if lo < hi {
+                            dst_row[lo..hi].copy_from_slice(&src_row[lo + kx - pad..hi + kx - pad]);
+                        }
+                        dst_row[hi..].fill(zero);
                     } else {
                         for (ox, slot) in dst_row.iter_mut().enumerate() {
                             let ix = (ox * stride + kx) as isize - pad as isize;
-                            *slot = if ix < 0 || ix >= w as isize { 0.0 } else { src_row[ix as usize] };
+                            *slot = if ix < 0 || ix >= w as isize { zero } else { src_row[ix as usize] };
                         }
                     }
                 }

@@ -15,48 +15,6 @@
 //! would need `k > 2^17` same-sign maximal products to wrap, far beyond any
 //! layer in the paper's models).
 
-use crate::im2col::Conv2dGeometry;
-
-/// `out[m,n] += a[m,k] · b[k,n]` over `i8` operands with `i32` accumulation.
-///
-/// Row-major, like [`crate::gemm_accumulate`]; `m` is implied by
-/// `out.len() / n`. The inner loop processes four `k` taps per pass over the
-/// output row, re-associating freely (exact in integer arithmetic).
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with `(k, n)`.
-pub fn gemm_i8_accumulate(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize) {
-    assert!(n > 0, "gemm_i8_accumulate needs n > 0");
-    assert_eq!(out.len() % n, 0, "output length {} not a multiple of n {}", out.len(), n);
-    let m = out.len() / n;
-    assert_eq!(a.len(), m * k, "lhs length mismatch");
-    assert_eq!(b.len(), k * n, "rhs length mismatch");
-    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        let mut kk = 0;
-        while kk + 4 <= k {
-            let (a0, a1, a2, a3) =
-                (a_row[kk] as i32, a_row[kk + 1] as i32, a_row[kk + 2] as i32, a_row[kk + 3] as i32);
-            let b0 = &b[kk * n..kk * n + n];
-            let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
-            let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
-            let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
-            for (j, slot) in out_row.iter_mut().enumerate() {
-                *slot += a0 * b0[j] as i32 + a1 * b1[j] as i32 + a2 * b2[j] as i32 + a3 * b3[j] as i32;
-            }
-            kk += 4;
-        }
-        while kk < k {
-            let a_ik = a_row[kk] as i32;
-            let b_row = &b[kk * n..kk * n + n];
-            for (slot, &b_kj) in out_row.iter_mut().zip(b_row) {
-                *slot += a_ik * b_kj as i32;
-            }
-            kk += 1;
-        }
-    }
-}
-
 /// `out[m,n] = a[m,k] · b[n,k]ᵀ` over `i8` operands with `i32` accumulation
 /// (dot-product form — both operands are walked contiguously).
 ///
@@ -115,7 +73,7 @@ pub(crate) fn nt_scalar(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize)
 
 /// `out[m,n] = a[m,k] · B` where `a` holds **pre-widened** `i16` rows of an
 /// even-padded width `k` and `b` holds the right-hand matrix in the
-/// **pair-interleaved** layout produced by [`im2col_i16_pairs_image_overwrite`]:
+/// **pair-interleaved** layout produced by [`interleave_widen_pairs`]:
 /// element `(kk, j)` lives at `b[(kk / 2) · 2n + 2j + (kk % 2)]`.
 ///
 /// This is the convolution hot path, shaped around `vpmaddwd` with *no
@@ -163,190 +121,6 @@ pub(crate) fn pairs_scalar(a: &[i16], b: &[i16], out: &mut [i32], k: usize, n: u
     }
 }
 
-/// Unrolls one `i8` image (a `[c, h, w]` slice of a batch) into a column
-/// matrix `[c·k·k, oh·ow]`, **overwriting every element of `dst`** — padding
-/// positions are written as explicit `0`, so recycled storage needs no
-/// zero-fill pass.
-///
-/// The `i8` twin of [`crate::im2col_image_overwrite`], with the same stride-1
-/// `copy_from_slice` fast path; zero-point-0 symmetric quantization makes a
-/// literal `0` byte the correct padding value.
-///
-/// # Panics
-///
-/// Panics if `image` is not `c·h·w` elements or `dst` is not
-/// `c·k·k × oh·ow` elements.
-pub fn im2col_i8_image_overwrite(
-    image: &[i8],
-    c: usize,
-    h: usize,
-    w: usize,
-    geom: Conv2dGeometry,
-    dst: &mut [i8],
-) {
-    let (oh, ow) = geom.output_size(h, w);
-    let k = geom.kernel;
-    let l = oh * ow;
-    assert_eq!(image.len(), c * h * w, "im2col_i8_image_overwrite image size mismatch");
-    assert_eq!(dst.len(), c * k * k * l, "im2col_i8_image_overwrite destination size mismatch");
-    let (stride, pad) = (geom.stride, geom.pad);
-    for ci in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ci * k + ky) * k + kx;
-                let tap = &mut dst[row * l..(row + 1) * l];
-                if stride == 1 && ow == w {
-                    // "same"-style geometry (every conv in the paper's
-                    // models): source and destination share the row stride,
-                    // so the tap's whole in-bounds block is ONE contiguous
-                    // copy at a constant offset — the few wrapped-in
-                    // elements at the row seams are zeroed afterwards.
-                    // This replaces `oh` short per-row copies (whose memcpy
-                    // dispatch overhead dominates at conv-sized rows) with
-                    // a single bulk move.
-                    let lo = pad.saturating_sub(kx).min(ow);
-                    let hi = (w + pad).saturating_sub(kx).min(ow).max(lo);
-                    let y0 = pad.saturating_sub(ky).min(oh);
-                    let y1 = (h + pad).saturating_sub(ky).min(oh).max(y0);
-                    tap[..y0 * ow].fill(0);
-                    tap[y1 * ow..].fill(0);
-                    if y0 < y1 && lo < hi {
-                        let dst_first = y0 * ow + lo;
-                        let dst_last = (y1 - 1) * ow + hi;
-                        let src_first = (ci * h + (y0 + ky) - pad) * w + (lo + kx) - pad;
-                        tap[dst_first..dst_last]
-                            .copy_from_slice(&image[src_first..src_first + (dst_last - dst_first)]);
-                        for oy in y0..y1 {
-                            // zero the row-seam edges the bulk copy filled
-                            // with wrapped neighbours (≤ `pad` each side)
-                            for slot in &mut tap[oy * ow..oy * ow + lo] {
-                                *slot = 0;
-                            }
-                            for slot in &mut tap[oy * ow + hi..(oy + 1) * ow] {
-                                *slot = 0;
-                            }
-                        }
-                    } else {
-                        tap[y0 * ow..y1 * ow].fill(0);
-                    }
-                    continue;
-                }
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    let dst_row = &mut tap[oy * ow..oy * ow + ow];
-                    if iy < 0 || iy >= h as isize {
-                        dst_row.fill(0);
-                        continue;
-                    }
-                    let src_row = &image[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
-                    if stride == 1 {
-                        // ix = ox + kx - pad: one contiguous run, zero edges
-                        let lo = pad.saturating_sub(kx).min(ow);
-                        let hi = (w + pad).saturating_sub(kx).min(ow).max(lo);
-                        dst_row[..lo].fill(0);
-                        let src_lo = lo + kx - pad;
-                        dst_row[lo..hi].copy_from_slice(&src_row[src_lo..src_lo + (hi - lo)]);
-                        dst_row[hi..].fill(0);
-                    } else {
-                        for (ox, slot) in dst_row.iter_mut().enumerate() {
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            *slot = if ix < 0 || ix >= w as isize { 0 } else { src_row[ix as usize] };
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Unrolls one `i8` image (a `[c, h, w]` slice of a batch) into the
-/// **pair-interleaved** sign-extended `i16` matrix consumed by
-/// [`matmul_i16_pairs_into`], overwriting every element of `dst` (padding
-/// positions — and the phantom tap added when `c·k·k` is odd — are written
-/// as explicit `0`).
-///
-/// Logical element `(kk, j)` of the plain `[c·k·k, oh·ow]` im2col matrix
-/// lands at `dst[(kk / 2) · 2l + 2j + (kk % 2)]` with `l = oh·ow`: each pair
-/// of adjacent taps is interleaved column-by-column, which is exactly the
-/// operand shape `vpmaddwd` wants opposite a broadcast tap pair. `dst` must
-/// be `(c·k·k rounded up to even) · oh·ow` elements.
-///
-/// Like the f32 gather, each `(tap, oy)` row is one contiguous source run
-/// with zeroed edges — but written at stride 2, so the store stream stays
-/// sequential in cache lines while producing the interleaved layout in a
-/// single pass. Widening to `i16` happens here, during the gather, so the
-/// matmul's inner loops need no element conversions at all.
-///
-/// # Panics
-///
-/// Panics if `image` is not `c·h·w` elements or `dst` is not
-/// `(c·k·k + (c·k·k & 1)) × oh·ow` elements.
-pub fn im2col_i16_pairs_image_overwrite(
-    image: &[i8],
-    c: usize,
-    h: usize,
-    w: usize,
-    geom: Conv2dGeometry,
-    dst: &mut [i16],
-) {
-    let (oh, ow) = geom.output_size(h, w);
-    let k = geom.kernel;
-    let kk = c * k * k;
-    let kk_pad = kk + (kk & 1);
-    let l = oh * ow;
-    assert_eq!(image.len(), c * h * w, "im2col_i16_pairs_image_overwrite image size mismatch");
-    assert_eq!(dst.len(), kk_pad * l, "im2col_i16_pairs_image_overwrite destination size mismatch");
-    let (stride, pad) = (geom.stride, geom.pad);
-    for tap in 0..kk {
-        let ci = tap / (k * k);
-        let ky = (tap / k) % k;
-        let kx = tap % k;
-        let (p, s) = (tap / 2, tap % 2);
-        for oy in 0..oh {
-            let iy = (oy * stride + ky) as isize - pad as isize;
-            // both interleave slots of this pair-row's `oy` stripe; writes
-            // below touch only slot `s` at indices 2·ox + s
-            let drow = &mut dst[p * 2 * l + 2 * oy * ow..p * 2 * l + 2 * (oy * ow + ow)];
-            if iy < 0 || iy >= h as isize {
-                for ox in 0..ow {
-                    drow[2 * ox + s] = 0;
-                }
-                continue;
-            }
-            let src_row = &image[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
-            if stride == 1 {
-                // ix = ox + kx - pad: one contiguous source run, zero edges
-                let lo = pad.saturating_sub(kx).min(ow);
-                let hi = (w + pad).saturating_sub(kx).min(ow).max(lo);
-                for ox in 0..lo {
-                    drow[2 * ox + s] = 0;
-                }
-                let src = &src_row[lo + kx - pad..hi + kx - pad];
-                for (ox, &v) in (lo..hi).zip(src) {
-                    drow[2 * ox + s] = v as i16;
-                }
-                for ox in hi..ow {
-                    drow[2 * ox + s] = 0;
-                }
-            } else {
-                for ox in 0..ow {
-                    let ix = (ox * stride + kx) as isize - pad as isize;
-                    drow[2 * ox + s] =
-                        if ix < 0 || ix >= w as isize { 0 } else { src_row[ix as usize] as i16 };
-                }
-            }
-        }
-    }
-    if kk_pad != kk {
-        // phantom tap paired with the last real one: always zero, so the
-        // even-width kernel contract holds without affecting any sum
-        let base = (kk_pad / 2 - 1) * 2 * l + 1;
-        for j in 0..l {
-            dst[base + 2 * j] = 0;
-        }
-    }
-}
-
 /// Widens a row-major `[rows, l]` `i8` matrix into the pair-interleaved
 /// `i16` layout of [`matmul_i16_pairs_into`]: rows `2p` and `2p + 1` become
 /// pair-row `p` with their columns interleaved (`dst[p·2l + 2j + s] =
@@ -354,12 +128,11 @@ pub fn im2col_i16_pairs_image_overwrite(
 /// partner row.
 ///
 /// This is the production path to the interleaved operand: build the plain
-/// im2col matrix with [`im2col_i8_image_overwrite`] (long contiguous `memcpy`
-/// runs), then transpose-widen pairs of rows here — the SIMD bodies turn a
-/// pair of 32-byte row segments into two full-width interleaved stores, where
-/// a direct strided gather pays a scalar store per element.
-/// [`im2col_i16_pairs_image_overwrite`] produces the identical layout in one
-/// (slower) pass and serves as its reference.
+/// im2col matrix with [`crate::im2col_image_overwrite`] (long contiguous
+/// `memcpy` runs), then transpose-widen pairs of rows here — the SIMD bodies
+/// turn a pair of 32-byte row segments into two full-width interleaved
+/// stores, where a direct strided gather pays a scalar store per element.
+/// A single-pass strided gather, kept as a test twin, is its reference.
 ///
 /// # Panics
 ///
@@ -402,7 +175,135 @@ pub(crate) fn interleave_scalar(r0: &[i8], r1: &[i8], dst: &mut [i16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::im2col::im2col_image_overwrite;
+    use crate::im2col::{im2col_image_overwrite, Conv2dGeometry};
+
+    /// `out[m,n] += a[m,k] · b[k,n]` over `i8` operands with `i32` accumulation.
+    ///
+    /// Row-major, like `crate::gemm_accumulate`; `m` is implied by
+    /// `out.len() / n`. The inner loop processes four `k` taps per pass over the
+    /// output row, re-associating freely (exact in integer arithmetic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths are inconsistent with `(k, n)`.
+    fn gemm_i8_accumulate(a: &[i8], b: &[i8], out: &mut [i32], k: usize, n: usize) {
+        assert!(n > 0, "gemm_i8_accumulate needs n > 0");
+        assert_eq!(out.len() % n, 0, "output length {} not a multiple of n {}", out.len(), n);
+        let m = out.len() / n;
+        assert_eq!(a.len(), m * k, "lhs length mismatch");
+        assert_eq!(b.len(), k * n, "rhs length mismatch");
+        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            let mut kk = 0;
+            while kk + 4 <= k {
+                let (a0, a1, a2, a3) =
+                    (a_row[kk] as i32, a_row[kk + 1] as i32, a_row[kk + 2] as i32, a_row[kk + 3] as i32);
+                let b0 = &b[kk * n..kk * n + n];
+                let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
+                let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
+                let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
+                for (j, slot) in out_row.iter_mut().enumerate() {
+                    *slot += a0 * b0[j] as i32 + a1 * b1[j] as i32 + a2 * b2[j] as i32 + a3 * b3[j] as i32;
+                }
+                kk += 4;
+            }
+            while kk < k {
+                let a_ik = a_row[kk] as i32;
+                let b_row = &b[kk * n..kk * n + n];
+                for (slot, &b_kj) in out_row.iter_mut().zip(b_row) {
+                    *slot += a_ik * b_kj as i32;
+                }
+                kk += 1;
+            }
+        }
+    }
+
+    /// Unrolls one `i8` image (a `[c, h, w]` slice of a batch) into the
+    /// **pair-interleaved** sign-extended `i16` matrix consumed by
+    /// [`matmul_i16_pairs_into`], overwriting every element of `dst` (padding
+    /// positions — and the phantom tap added when `c·k·k` is odd — are written
+    /// as explicit `0`).
+    ///
+    /// Logical element `(kk, j)` of the plain `[c·k·k, oh·ow]` im2col matrix
+    /// lands at `dst[(kk / 2) · 2l + 2j + (kk % 2)]` with `l = oh·ow`: each pair
+    /// of adjacent taps is interleaved column-by-column, which is exactly the
+    /// operand shape `vpmaddwd` wants opposite a broadcast tap pair. `dst` must
+    /// be `(c·k·k rounded up to even) · oh·ow` elements.
+    ///
+    /// Like the f32 gather, each `(tap, oy)` row is one contiguous source run
+    /// with zeroed edges — but written at stride 2, so the store stream stays
+    /// sequential in cache lines while producing the interleaved layout in a
+    /// single pass. Widening to `i16` happens here, during the gather, so the
+    /// matmul's inner loops need no element conversions at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is not `c·h·w` elements or `dst` is not
+    /// `(c·k·k + (c·k·k & 1)) × oh·ow` elements.
+    fn im2col_i16_pairs_image_overwrite(
+        image: &[i8],
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: Conv2dGeometry,
+        dst: &mut [i16],
+    ) {
+        let (oh, ow) = geom.output_size(h, w);
+        let k = geom.kernel;
+        let kk = c * k * k;
+        let kk_pad = kk + (kk & 1);
+        let l = oh * ow;
+        assert_eq!(image.len(), c * h * w, "im2col_i16_pairs_image_overwrite image size mismatch");
+        assert_eq!(dst.len(), kk_pad * l, "im2col_i16_pairs_image_overwrite destination size mismatch");
+        let (stride, pad) = (geom.stride, geom.pad);
+        for tap in 0..kk {
+            let ci = tap / (k * k);
+            let ky = (tap / k) % k;
+            let kx = tap % k;
+            let (p, s) = (tap / 2, tap % 2);
+            for oy in 0..oh {
+                let iy = (oy * stride + ky) as isize - pad as isize;
+                // both interleave slots of this pair-row's `oy` stripe; writes
+                // below touch only slot `s` at indices 2·ox + s
+                let drow = &mut dst[p * 2 * l + 2 * oy * ow..p * 2 * l + 2 * (oy * ow + ow)];
+                if iy < 0 || iy >= h as isize {
+                    for ox in 0..ow {
+                        drow[2 * ox + s] = 0;
+                    }
+                    continue;
+                }
+                let src_row = &image[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
+                if stride == 1 {
+                    // ix = ox + kx - pad: one contiguous source run, zero edges
+                    let lo = pad.saturating_sub(kx).min(ow);
+                    let hi = (w + pad).saturating_sub(kx).min(ow).max(lo);
+                    for ox in 0..lo {
+                        drow[2 * ox + s] = 0;
+                    }
+                    let src = &src_row[lo + kx - pad..hi + kx - pad];
+                    for (ox, &v) in (lo..hi).zip(src) {
+                        drow[2 * ox + s] = v as i16;
+                    }
+                    for ox in hi..ow {
+                        drow[2 * ox + s] = 0;
+                    }
+                } else {
+                    for ox in 0..ow {
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        drow[2 * ox + s] =
+                            if ix < 0 || ix >= w as isize { 0 } else { src_row[ix as usize] as i16 };
+                    }
+                }
+            }
+        }
+        if kk_pad != kk {
+            // phantom tap paired with the last real one: always zero, so the
+            // even-width kernel contract holds without affecting any sum
+            let base = (kk_pad / 2 - 1) * 2 * l + 1;
+            for j in 0..l {
+                dst[base + 2 * j] = 0;
+            }
+        }
+    }
 
     fn pattern(len: usize, mul: usize, md: usize) -> Vec<i8> {
         (0..len).map(|i| (((i * mul) % md) as i32 - md as i32 / 2) as i8).collect()
@@ -554,7 +455,7 @@ mod tests {
             let l = oh * ow;
             let mut cols = vec![99i8; kk * l];
             let mut pairs = vec![99i16; kk_pad * l];
-            im2col_i8_image_overwrite(&img, c, h, w, geom, &mut cols);
+            im2col_image_overwrite(&img, c, h, w, geom, &mut cols);
             im2col_i16_pairs_image_overwrite(&img, c, h, w, geom, &mut pairs);
             for tap in 0..kk {
                 for j in 0..l {
@@ -593,7 +494,7 @@ mod tests {
             let mut want = vec![99i16; kk_pad * l];
             im2col_i16_pairs_image_overwrite(&img, c, h, w, geom, &mut want);
             let mut cols = vec![99i8; kk * l];
-            im2col_i8_image_overwrite(&img, c, h, w, geom, &mut cols);
+            im2col_image_overwrite(&img, c, h, w, geom, &mut cols);
             let mut got = vec![-5i16; kk_pad * l];
             interleave_widen_pairs(&cols, kk, l, &mut got);
             assert_eq!(got, want, "geom {geom:?}");
@@ -614,32 +515,6 @@ mod tests {
                     let want = if r < rows { src[r * l + j] as i16 } else { 0 };
                     assert_eq!(got[(r / 2) * 2 * l + 2 * j + (r % 2)], want, "rows {rows} l {l} ({r},{j})");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn i8_unroll_matches_f32_unroll_elementwise() {
-        // the i8 gather must place bytes exactly where the f32 gather places
-        // floats, for every geometry class the executor uses
-        for geom in [
-            Conv2dGeometry::new(3, 1, 1),
-            Conv2dGeometry::new(2, 2, 0),
-            Conv2dGeometry::new(3, 2, 2),
-            Conv2dGeometry::new(3, 1, 0),
-        ] {
-            let (c, h, w) = (3, 5, 4);
-            let img = pattern(c * h * w, 31, 247);
-            let img_f: Vec<f32> = img.iter().map(|&x| x as f32).collect();
-            let (oh, ow) = geom.output_size(h, w);
-            let rows = c * geom.kernel * geom.kernel;
-            let l = oh * ow;
-            let mut dst = vec![99i8; rows * l];
-            let mut dst_f = vec![f32::NAN; rows * l];
-            im2col_i8_image_overwrite(&img, c, h, w, geom, &mut dst);
-            im2col_image_overwrite(&img_f, c, h, w, geom, &mut dst_f);
-            for (i, (&b, &f)) in dst.iter().zip(&dst_f).enumerate() {
-                assert_eq!(b as f32, f, "geom {geom:?} slot {i}");
             }
         }
     }

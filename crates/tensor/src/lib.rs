@@ -14,6 +14,9 @@
 //!   every other host and the reference they are tested against bit for bit.
 //! * [`im2col()`]/[`col2im`] — the standard convolution lowering used by
 //!   `ftclip-nn`'s `Conv2d` forward and backward passes.
+//! * [`im2col_image_overwrite`] and [`max_pool_planes`] — the per-image
+//!   gather and the fused pool pass that the `f32` and int8 inference plans
+//!   share.
 //!
 //! # Example
 //!
@@ -53,6 +56,7 @@ mod init;
 mod int8;
 mod matmul;
 mod par;
+mod pool;
 mod shape;
 #[cfg(target_arch = "x86_64")]
 mod simd;
@@ -63,11 +67,9 @@ pub use im2col::{
     col2im, conv_output_size, im2col, im2col_batch, im2col_batch_into, im2col_image_overwrite, Conv2dGeometry,
 };
 pub use init::{he_normal, uniform_init, xavier_uniform};
-pub use int8::{
-    gemm_i8_accumulate, im2col_i16_pairs_image_overwrite, im2col_i8_image_overwrite, interleave_widen_pairs,
-    matmul_i16_pairs_into, matmul_i8_nt_into,
-};
+pub use int8::{interleave_widen_pairs, matmul_i16_pairs_into, matmul_i8_nt_into};
 pub use matmul::{gemm_accumulate, matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_tn};
 pub use par::{budget_share, fan_out, num_threads, par_row_bands, with_thread_limit};
+pub use pool::max_pool_planes;
 pub use shape::Shape;
 pub use tensor::Tensor;

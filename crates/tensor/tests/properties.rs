@@ -1,6 +1,9 @@
 //! Property-based tests for the tensor substrate.
 
-use ftclip_tensor::{col2im, gemm_accumulate, im2col, matmul, matmul_nt, matmul_tn, Conv2dGeometry, Tensor};
+use ftclip_tensor::{
+    col2im, gemm_accumulate, im2col, im2col_batch_into, im2col_image_overwrite, matmul, matmul_nt, matmul_tn,
+    Conv2dGeometry, Tensor,
+};
 use proptest::prelude::*;
 
 /// The reference the blocked kernel must replay bit-for-bit: a naive
@@ -307,5 +310,75 @@ proptest! {
             t.reshape(&dims).unwrap()
         };
         prop_assert!(first.approx_eq(&expect, 0.0));
+    }
+}
+
+/// The per-image gather both inference plans run, for `f32` and `i8`,
+/// against the batched unroll, on every small geometry: pad ≥ extent, 1×1
+/// images, kernel 1, strides 1–3, pad 0 and h ≠ w, so the stride-1 "same"
+/// bulk copy, the per-row runs and the strided gather all meet their edge
+/// cases. Destinations start dirty; every element must be overwritten.
+#[test]
+fn per_image_gather_matches_the_batched_unroll_on_every_small_geometry() {
+    let (n, c) = (2, 2);
+    for h in 1..=5 {
+        for w in 1..=5 {
+            for kernel in 1..=4 {
+                for stride in 1..=3 {
+                    for pad in 0..=5 {
+                        if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                            continue;
+                        }
+                        let geom = Conv2dGeometry::new(kernel, stride, pad);
+                        let seed = (h * 1000 + w * 100 + kernel * 10 + stride) as u64 * 31 + pad as u64;
+                        let images = special_fill(&[n, c, h, w], seed, true);
+                        let images_i8: Vec<i8> =
+                            (0..n * c * h * w).map(|i| (i as u64 * 37 + seed) as u8 as i8).collect();
+                        let widened =
+                            Tensor::from_vec(images_i8.iter().map(|&v| v as f32).collect(), &[n, c, h, w])
+                                .unwrap();
+                        let (oh, ow) = geom.output_size(h, w);
+                        let (rows, l) = (c * kernel * kernel, oh * ow);
+                        let mut want = vec![0.0f32; rows * n * l];
+                        let mut want_i8 = vec![0.0f32; rows * n * l];
+                        im2col_batch_into(&images, geom, &mut want);
+                        im2col_batch_into(&widened, geom, &mut want_i8);
+                        let mut got = vec![f32::NAN; rows * l];
+                        let mut got_i8 = vec![-77i8; rows * l];
+                        let chw = c * h * w;
+                        for i in 0..n {
+                            im2col_image_overwrite(
+                                &images.data()[i * chw..(i + 1) * chw],
+                                c,
+                                h,
+                                w,
+                                geom,
+                                &mut got,
+                            );
+                            im2col_image_overwrite(
+                                &images_i8[i * chw..(i + 1) * chw],
+                                c,
+                                h,
+                                w,
+                                geom,
+                                &mut got_i8,
+                            );
+                            for r in 0..rows {
+                                for j in 0..l {
+                                    let at = r * n * l + i * l + j;
+                                    let what = format!("h {h} w {w} {geom:?} image {i} row {r} col {j}");
+                                    assert_eq!(got[r * l + j].to_bits(), want[at].to_bits(), "f32 {what}");
+                                    assert_eq!(
+                                        (got_i8[r * l + j] as f32).to_bits(),
+                                        want_i8[at].to_bits(),
+                                        "i8 {what}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

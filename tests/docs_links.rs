@@ -240,8 +240,34 @@ fn the_two_diagrams_moved_to_the_architecture_guide() {
 /// under `src/bin/` are exempt: a load client's threads split no budget.
 #[test]
 fn only_the_fan_out_primitive_opens_a_thread_scope() {
+    let offenders = library_files_containing("thread::scope(", "crates/tensor/src/par.rs");
+    assert!(
+        offenders.is_empty(),
+        "library code outside par.rs opens its own thread scope; use ftclip_tensor::fan_out:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// Structure guard for the one bias + activation pass: every inference
+/// epilogue applies its activation through `Activation::bias_act`, which
+/// matches the variant once per row, so no library code outside
+/// `crates/nn/src/activation.rs` calls the per-element `apply_scalar`.
+#[test]
+fn only_the_activation_module_calls_apply_scalar() {
+    let offenders = library_files_containing(".apply_scalar(", "crates/nn/src/activation.rs");
+    assert!(
+        offenders.is_empty(),
+        "library code outside activation.rs applies activations per element; use Activation::bias_act:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The crate sources (`crates/*/src/**`, binaries under `src/bin/` exempt)
+/// other than `allowed` whose code above the `#[cfg(test)]` module contains
+/// `needle`, sorted.
+fn library_files_containing(needle: &str, allowed: &str) -> Vec<String> {
     let root = repo_root();
-    let allowed = root.join("crates/tensor/src/par.rs");
+    let allowed = root.join(allowed);
     let mut files = Vec::new();
     rust_files(&root.join("crates"), &mut files);
     let mut offenders: Vec<String> = files
@@ -256,16 +282,12 @@ fn only_the_fan_out_primitive_opens_a_thread_scope() {
         .filter(|file| {
             let text = std::fs::read_to_string(file).unwrap();
             let library = text.split("#[cfg(test)]").next().unwrap_or_default();
-            library.contains("thread::scope(")
+            library.contains(needle)
         })
         .map(|file| file.display().to_string())
         .collect();
     offenders.sort();
-    assert!(
-        offenders.is_empty(),
-        "library code outside par.rs opens its own thread scope; use ftclip_tensor::fan_out:\n{}",
-        offenders.join("\n")
-    );
+    offenders
 }
 
 /// Every `.rs` file under `dir`, recursively.

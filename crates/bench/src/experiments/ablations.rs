@@ -5,7 +5,7 @@ use ftclip_fault::{
     derive_seed, inject_with_protection, Campaign, DoubleErrorPolicy, FaultModel, InjectionTarget, MemoryMap,
     ProtectionScheme,
 };
-use ftclip_models::alexnet_cifar_with_activation;
+use ftclip_models::{alexnet_cifar_with_activation, ZooArch};
 use ftclip_nn::sched::LrSchedule;
 use ftclip_nn::{evaluate, Activation, OptimizerKind, Sequential, Trainer};
 use ftclip_quant::Precision;
@@ -16,6 +16,7 @@ use crate::experiments::figures::{profiled_act_max, with_saturated};
 use crate::experiments::{outln, RunContext};
 use crate::pipeline::{harden_network, tuning_auc_config};
 use crate::spec::SpecError;
+use crate::workload::arch_profile;
 
 /// Hardens a copy of the workload network on its validation split with the
 /// tuning-subset convention the ablations share.
@@ -39,7 +40,7 @@ pub fn clip_mode(ctx: &mut RunContext) -> Result<(), SpecError> {
     let base = workload.model.network.clone();
     let eval = ctx.eval_set(workload.data.test());
 
-    let thresholds = profiled_act_max(ctx, &workload);
+    let thresholds = profiled_act_max(ctx, &workload.model.network, &workload.data);
     let mut clip_zero = base.clone();
     clip_zero.convert_to_clipped(&thresholds);
     let saturated = with_saturated(&base, &thresholds);
@@ -342,21 +343,14 @@ pub fn leaky_clip(ctx: &mut RunContext) -> Result<(), SpecError> {
     eprintln!("[ablation] leaky AlexNet test accuracy {test_acc:.3}");
 
     let eval = ctx.eval_set(data.test());
-    let profiles = ftclip_core::profile_network(
-        &net,
-        data.val().subset(256.min(data.val().len()), ctx.spec.seed).images(),
-        64,
-        32,
-    );
-    let thresholds: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
     let mut clipped = net.clone();
-    clipped.convert_to_clipped(&thresholds);
+    clipped.convert_to_clipped(&profiled_act_max(ctx, &net, &data));
     assert!(matches!(
         clipped.activation_at(clipped.activation_sites()[0]),
         Some(Activation::ClippedLeakyRelu { .. })
     ));
 
-    let rate_scale = ftclip_models::alexnet_cifar(1.0, 10, 0).param_count() as f64 / net.param_count() as f64;
+    let rate_scale = arch_profile(ZooArch::AlexNet).1 as f64 / net.param_count() as f64;
     let mut cfg = ctx.spec.campaign_config_with_scale(rate_scale).map_err(SpecError::Campaign)?;
     cfg.target = ctx.spec.target.resolve(&net)?;
     let campaign = Campaign::new(cfg);

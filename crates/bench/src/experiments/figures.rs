@@ -9,6 +9,7 @@ use ftclip_core::{
     auc_normalized, campaign_auc, improvement_percent, profile_network, ResultTable, SiteEvaluator,
     ThresholdTuner, TunerConfig,
 };
+use ftclip_data::SynthCifar;
 use ftclip_fault::{BitPosition, Campaign, CampaignResult, FaultModel, Injection, InjectionTarget};
 use ftclip_models::{model_size_report, ZooArch};
 use ftclip_nn::{Activation, Layer, Scratch, Sequential, Span};
@@ -81,18 +82,18 @@ pub(crate) fn apply_protection(
         }
         Protection::ClippedActMax => {
             let mut net = base.clone();
-            net.convert_to_clipped(&profiled_act_max(ctx, workload));
+            net.convert_to_clipped(&profiled_act_max(ctx, base, &workload.data));
             net
         }
-        Protection::Saturated => with_saturated(base, &profiled_act_max(ctx, workload)),
+        Protection::Saturated => with_saturated(base, &profiled_act_max(ctx, base, &workload.data)),
     }
 }
 
-/// Profiled per-site `ACT_max` thresholds on a validation subset.
-pub(crate) fn profiled_act_max(ctx: &RunContext, workload: &Workload) -> Vec<f32> {
-    let data = &workload.data;
+/// Profiled per-site `ACT_max` thresholds of `net` on a validation subset
+/// of `data`.
+pub(crate) fn profiled_act_max(ctx: &RunContext, net: &Sequential, data: &SynthCifar) -> Vec<f32> {
     let subset = data.val().subset(256.min(data.val().len()), ctx.spec.seed);
-    profile_network(&workload.model.network, subset.images(), 64, 32)
+    profile_network(net, subset.images(), 64, 32)
         .iter()
         .map(|p| p.act_max.max(f32::MIN_POSITIVE))
         .collect()

@@ -41,8 +41,6 @@
 //! with `--no-cache` or `FTCLIP_CACHE=off`), so re-runs and interrupted
 //! grids only pay for cells not yet on disk — with bit-identical results.
 //! `ftclip` is the crate's only binary; `ftclip help` prints its usage.
-//!
-//! This crate also hosts the Criterion micro-benchmarks (`benches/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

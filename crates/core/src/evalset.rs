@@ -332,6 +332,13 @@ impl PrefixCacheStats {
     }
 }
 
+/// A budget of `mb` MiB in bytes, saturating at `usize::MAX`, or
+/// `default_bytes` when `mb` is absent or not a whole number.
+fn budget_from_mb(mb: Option<&str>, default_bytes: usize) -> usize {
+    mb.and_then(|v| v.trim().parse::<usize>().ok())
+        .map_or(default_bytes, |mb| mb.saturating_mul(1 << 20))
+}
+
 /// A byte-bounded memo of **clean prefix activations**, keyed by
 /// `(evaluation batch, cut)`.
 ///
@@ -374,11 +381,8 @@ impl PrefixCache {
     /// environment variable, falling back to `default_bytes` when unset or
     /// unparsable.
     pub fn from_env(default_bytes: usize) -> Self {
-        let budget = std::env::var("FTCLIP_PREFIX_CACHE_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(default_bytes, |mb| mb << 20);
-        PrefixCache::new(budget)
+        let mb = std::env::var("FTCLIP_PREFIX_CACHE_MB").ok();
+        PrefixCache::new(budget_from_mb(mb.as_deref(), default_bytes))
     }
 
     /// The configured byte budget.
@@ -573,6 +577,18 @@ mod tests {
             Layer::relu(),
             Layer::linear(16, 10, 23),
         ])
+    }
+
+    #[test]
+    fn prefix_budget_parses_whole_mib_and_saturates() {
+        assert_eq!(budget_from_mb(None, 7), 7);
+        assert_eq!(budget_from_mb(Some("lots"), 7), 7);
+        assert_eq!(budget_from_mb(Some("-1"), 7), 7);
+        assert_eq!(budget_from_mb(Some(" 0 "), 7), 0);
+        assert_eq!(budget_from_mb(Some("64"), 7), 64 << 20);
+        // 2^44 MiB is 2^64 bytes: a shift would wrap it to 0
+        assert_eq!(budget_from_mb(Some("17592186044416"), 7), usize::MAX);
+        assert_eq!(budget_from_mb(Some(&usize::MAX.to_string()), 7), usize::MAX);
     }
 
     #[test]

@@ -394,6 +394,20 @@ pub fn live_activation(layers: &[Layer], act: Option<usize>) -> Option<Activatio
     })
 }
 
+/// The fused max-pool of a [`PlanNode::ConvAct`] (`pool` = its layer index)
+/// as `(kernel, stride)`, read from the network's layers — the one lookup
+/// both inference engines use.
+///
+/// # Panics
+///
+/// Panics if layer `pool` is not a max-pool.
+pub fn live_pool(layers: &[Layer], pool: Option<usize>) -> Option<(usize, usize)> {
+    pool.map(|pi| match &layers[pi] {
+        Layer::MaxPool2d(p) => (p.kernel(), p.stride()),
+        other => panic!("plan node expects a max-pool at layer {pi}, found {}", other.kind()),
+    })
+}
+
 /// Gather-direct fused convolution: per image, unroll the column matrix into
 /// a cache-resident buffer, accumulate the blocked product straight into the
 /// image's `[out_channels, oh·ow]` rows of the batched NCHW output, then
@@ -412,10 +426,7 @@ fn exec_conv(
         panic!("plan node expects a convolution at layer {conv}, found {}", layers[conv].kind())
     };
     let act = live_activation(layers, act);
-    let pool = pool.map(|pi| match &layers[pi] {
-        Layer::MaxPool2d(p) => (p.kernel(), p.stride()),
-        other => panic!("plan node expects a max-pool at layer {pi}, found {}", other.kind()),
-    });
+    let pool = live_pool(layers, pool);
     let (n, ic, h, w) = src.shape().as_nchw();
     assert_eq!(ic, c.in_channels(), "conv input channel mismatch at layer {conv}");
     let geom = c.geometry();

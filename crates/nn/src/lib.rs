@@ -65,7 +65,7 @@ pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use error::NnError;
-pub use graph::{live_activation, ForwardPlan, PlanNode, Span};
+pub use graph::{live_activation, live_pool, ForwardPlan, PlanNode, Span};
 pub use layer::{ActivationLayer, Layer, LayerKind};
 pub use linear::Linear;
 pub use param::{ParamKind, ParamRef};

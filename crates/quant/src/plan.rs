@@ -1,6 +1,6 @@
 //! Lowering a trained network into an int8 plan, and executing it.
 
-use ftclip_nn::{live_activation, Activation, Layer, PlanNode, Scratch, Sequential, Span};
+use ftclip_nn::{live_activation, live_pool, Activation, Layer, PlanNode, Scratch, Sequential, Span};
 use ftclip_tensor::{
     conv_output_size, im2col_image_overwrite, interleave_widen_pairs, matmul_i16_pairs_into,
     matmul_i8_nt_into, max_pool_planes, Conv2dGeometry, Tensor,
@@ -141,10 +141,7 @@ impl QuantizedPlan {
                         oc: c.out_channels(),
                         geom: c.geometry(),
                         act: live_activation(net.layers(), act),
-                        pool: pool.map(|pi| match &net.layers()[pi] {
-                            Layer::MaxPool2d(p) => (p.kernel(), p.stride()),
-                            other => panic!("plan node expects a max-pool, found {}", other.kind()),
-                        }),
+                        pool: live_pool(net.layers(), pool),
                         in_scale: act_scale,
                         out_scale,
                     });

@@ -3,7 +3,8 @@
 //! every fragment pointing into a markdown file must name a real heading
 //! (GitHub anchor slugs). External http(s) links are out of scope — CI
 //! has no network. Source comments may only cite docs that exist, and
-//! build recipes (docs, CI, the verify skill) may only name real binaries.
+//! build recipes (docs, CI, the verify skill) may only name real binaries
+//! and no `cargo bench` recipe.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -358,9 +359,10 @@ fn doc_references_in_sources_resolve() {
     assert!(broken.is_empty(), "dangling documentation references:\n{}", broken.join("\n"));
 }
 
-/// Every binary the workspace builds: each `[[bin]]` name declared in a
-/// member's `Cargo.toml` and each auto-discovered `src/bin/NAME.rs`.
-fn workspace_binaries() -> HashSet<String> {
+/// Every `kind` target (`bin`, `bench`) the workspace builds: each
+/// `[[kind]]` name declared in a member's `Cargo.toml` and each target Cargo
+/// auto-discovers as `auto_dir/NAME.rs` (`src/bin`, `benches`).
+fn workspace_targets(kind: &str, auto_dir: &str) -> HashSet<String> {
     let root = repo_root();
     let mut packages = vec![root.clone()];
     for group in ["crates", "shims"] {
@@ -368,35 +370,36 @@ fn workspace_binaries() -> HashSet<String> {
             packages.push(entry.path());
         }
     }
-    let mut bins = HashSet::new();
+    let table = format!("[[{kind}]]");
+    let mut targets = HashSet::new();
     for package in packages {
         if let Ok(manifest) = std::fs::read_to_string(package.join("Cargo.toml")) {
-            let mut in_bin = false;
+            let mut in_table = false;
             for line in manifest.lines().map(str::trim) {
                 if line.starts_with('[') {
-                    in_bin = line == "[[bin]]";
-                } else if let Some(value) = line.strip_prefix("name = ").filter(|_| in_bin) {
-                    bins.insert(value.trim_matches('"').to_string());
+                    in_table = line == table;
+                } else if let Some(value) = line.strip_prefix("name = ").filter(|_| in_table) {
+                    targets.insert(value.trim_matches('"').to_string());
                 }
             }
         }
-        if let Ok(entries) = std::fs::read_dir(package.join("src/bin")) {
+        if let Ok(entries) = std::fs::read_dir(package.join(auto_dir)) {
             for path in entries.flatten().map(|e| e.path()) {
                 if path.extension().is_some_and(|e| e == "rs") {
-                    bins.insert(path.file_stem().unwrap().to_string_lossy().into_owned());
+                    targets.insert(path.file_stem().unwrap().to_string_lossy().into_owned());
                 }
             }
         }
     }
-    bins
+    targets
 }
 
-/// Every binary name in `text` written as `--bin NAME` or
-/// `target/release/NAME`.
-fn binary_mentions(text: &str) -> Vec<String> {
+/// Every target name in `text` written right after one of `prefixes`
+/// (e.g. `--bin NAME`, `target/release/NAME`).
+fn mentions(text: &str, prefixes: &[&str]) -> Vec<String> {
     let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
     let mut found = Vec::new();
-    for prefix in ["--bin ", "target/release/"] {
+    for prefix in prefixes {
         for (at, _) in text.match_indices(prefix) {
             let rest = &text[at + prefix.len()..];
             let name = &rest[..rest.find(|c: char| !is_name(c)).unwrap_or(rest.len())];
@@ -408,16 +411,12 @@ fn binary_mentions(text: &str) -> Vec<String> {
     found
 }
 
-/// Build and run recipes in the docs, the CI workflow and the verify skill
-/// may only name binaries the workspace actually builds.
-#[test]
-fn docs_and_ci_name_only_real_binaries() {
+/// The build and run recipes: the docs, the CI workflow and the agent
+/// skills (the verify skill's build-and-drive recipe).
+fn recipe_files() -> Vec<PathBuf> {
     let root = repo_root();
-    let bins = workspace_binaries();
-    assert!(bins.contains("ftclip") && bins.contains("ftclipd"), "{bins:?}");
     let mut files = doc_files();
     files.push(root.join(".github/workflows/ci.yml"));
-    // the agent skills (the verify skill's build-and-drive recipe)
     let skills = std::fs::read_dir(root.join(".claude/skills")).expect("skills dir");
     for skill in skills.flatten() {
         for entry in std::fs::read_dir(skill.path()).into_iter().flatten().flatten() {
@@ -427,14 +426,49 @@ fn docs_and_ci_name_only_real_binaries() {
         }
     }
     assert!(files.iter().any(|f| f.starts_with(root.join(".claude"))), "no skill files found");
+    files
+}
+
+fn read(file: &std::path::Path) -> String {
+    std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{}: {e}", file.display()))
+}
+
+/// Build and run recipes in the docs, the CI workflow and the verify skill
+/// may only name binaries the workspace actually builds.
+#[test]
+fn docs_and_ci_name_only_real_binaries() {
+    let bins = workspace_targets("bin", "src/bin");
+    assert!(bins.contains("ftclip") && bins.contains("ftclipd"), "{bins:?}");
     let mut stale = Vec::new();
-    for file in &files {
-        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
-        for name in binary_mentions(&text) {
+    for file in &recipe_files() {
+        for name in mentions(&read(file), &["--bin ", "target/release/"]) {
             if !bins.contains(&name) {
                 stale.push(format!("{}: no binary named '{name}'", file.display()));
             }
         }
     }
     assert!(stale.is_empty(), "references to binaries that do not exist:\n{}", stale.join("\n"));
+}
+
+/// perfbench (`cargo run --manifest-path perfbench/Cargo.toml`) is the one
+/// benchmark harness: recipes may not send a reader to `cargo bench`, nor
+/// name a `--bench` target the workspace does not declare.
+#[test]
+fn docs_and_ci_name_no_cargo_bench_recipe() {
+    let targets = workspace_targets("bench", "benches");
+    let mut stale = Vec::new();
+    for file in &recipe_files() {
+        for (n, line) in read(file).lines().enumerate() {
+            let at = format!("{}:{}", file.display(), n + 1);
+            if line.contains("cargo bench") {
+                stale.push(format!("{at}: `cargo bench` (perfbench is the benchmark harness)"));
+            }
+            for name in mentions(line, &["--bench ", "--bench="]) {
+                if !targets.contains(&name) {
+                    stale.push(format!("{at}: no bench target named '{name}'"));
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "stale benchmark recipes:\n{}", stale.join("\n"));
 }

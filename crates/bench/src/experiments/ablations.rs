@@ -12,9 +12,9 @@ use ftclip_quant::Precision;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::experiments::figures::{profiled_act_max, with_saturated};
+use crate::experiments::figures::{clipped_at_act_max, with_saturated};
 use crate::experiments::{outln, RunContext};
-use crate::pipeline::{harden_network, tuning_auc_config};
+use crate::pipeline::{experiment_profile, harden_network, tuning_auc_config};
 use crate::spec::SpecError;
 use crate::workload::arch_profile;
 
@@ -40,15 +40,10 @@ pub fn clip_mode(ctx: &mut RunContext) -> Result<(), SpecError> {
     let base = workload.model.network.clone();
     let eval = ctx.eval_set(workload.data.test());
 
-    let thresholds = profiled_act_max(ctx, &workload.model.network, &workload.data);
-    let mut clip_zero = base.clone();
-    clip_zero.convert_to_clipped(&thresholds);
-    let saturated = with_saturated(&base, &thresholds);
+    let clip_zero = clipped_at_act_max(ctx, &base, workload.data.val());
+    let saturated = with_saturated(&clip_zero);
 
-    let mut cfg = ctx
-        .spec
-        .campaign_config_with_scale(workload.rate_scale())
-        .map_err(SpecError::Campaign)?;
+    let mut cfg = ctx.spec.campaign_config_with_scale(workload.rate_scale())?;
     cfg.target = ctx.spec.target.resolve(&base)?;
     let campaign = Campaign::new(cfg);
 
@@ -112,10 +107,7 @@ pub fn fault_models(ctx: &mut RunContext) -> Result<(), SpecError> {
     for model in models {
         for (net_name, base) in [("unprotected", &workload.model.network), ("clipped", &hardened)] {
             let net = base.clone();
-            let mut cfg = ctx
-                .spec
-                .campaign_config_with_scale(workload.rate_scale())
-                .map_err(SpecError::Campaign)?;
+            let mut cfg = ctx.spec.campaign_config_with_scale(workload.rate_scale())?;
             cfg.model = model;
             cfg.target = ctx.spec.target.resolve(&net)?;
             let campaign = Campaign::new(cfg);
@@ -174,10 +166,7 @@ pub fn bias_faults(ctx: &mut RunContext) -> Result<(), SpecError> {
     for target in targets {
         for (name, base) in [("unprotected", &workload.model.network), ("clipped", &hardened)] {
             let net = base.clone();
-            let mut cfg = ctx
-                .spec
-                .campaign_config_with_scale(workload.rate_scale())
-                .map_err(SpecError::Campaign)?;
+            let mut cfg = ctx.spec.campaign_config_with_scale(workload.rate_scale())?;
             cfg.target = target;
             let campaign = Campaign::new(cfg);
             let session =
@@ -343,15 +332,14 @@ pub fn leaky_clip(ctx: &mut RunContext) -> Result<(), SpecError> {
     eprintln!("[ablation] leaky AlexNet test accuracy {test_acc:.3}");
 
     let eval = ctx.eval_set(data.test());
-    let mut clipped = net.clone();
-    clipped.convert_to_clipped(&profiled_act_max(ctx, &net, &data));
+    let clipped = clipped_at_act_max(ctx, &net, data.val());
     assert!(matches!(
         clipped.activation_at(clipped.activation_sites()[0]),
         Some(Activation::ClippedLeakyRelu { .. })
     ));
 
     let rate_scale = arch_profile(ZooArch::AlexNet).1 as f64 / net.param_count() as f64;
-    let mut cfg = ctx.spec.campaign_config_with_scale(rate_scale).map_err(SpecError::Campaign)?;
+    let mut cfg = ctx.spec.campaign_config_with_scale(rate_scale)?;
     cfg.target = ctx.spec.target.resolve(&net)?;
     let campaign = Campaign::new(cfg);
     eprintln!("[ablation] campaigns …");
@@ -387,16 +375,12 @@ pub fn leaky_clip(ctx: &mut RunContext) -> Result<(), SpecError> {
 /// Ablation: Algorithm 1's interval search vs an exhaustive grid search
 /// over `(0, ACT_max]` on every activation site.
 pub fn tuner_vs_grid(ctx: &mut RunContext) -> Result<(), SpecError> {
-    use ftclip_core::{grid_search_site, profile_network, ThresholdTuner, TunerConfig};
+    use ftclip_core::{grid_search_site, ThresholdTuner, TunerConfig};
 
     let workload = ctx.workload();
-    let data = &workload.data;
-    let eval: EvalSet = ctx.eval_set(data.val());
-
-    let subset = data.val().subset(256.min(data.val().len()), ctx.spec.seed);
-    let profiles = profile_network(&workload.model.network, subset.images(), 64, 32);
-    let sites = workload.model.network.activation_sites();
-    let comp_indices = workload.model.network.computational_indices();
+    let eval: EvalSet = ctx.eval_set(workload.data.val());
+    let mut clipped = workload.model.network.clone();
+    let profiles = experiment_profile(ctx.spec.seed, 256).clip(&mut clipped, workload.data.val());
 
     let grid_points = 12usize;
     let mut table = ResultTable::new(&ctx.spec.name, &["site", "method", "threshold", "auc", "evaluations"]);
@@ -417,18 +401,15 @@ pub fn tuner_vs_grid(ctx: &mut RunContext) -> Result<(), SpecError> {
     let mut grid_total = 0usize;
     let mut alg1_auc_sum = 0.0;
     let mut grid_auc_sum = 0.0;
-    for (pos, profile) in profiles.iter().enumerate() {
-        let site = sites[pos];
-        let feeding = comp_indices.iter().copied().rfind(|&c| c < site).expect("site has feeder");
+    for profile in &profiles {
+        let site = profile.site;
         let mut auc_cfg = tuning_auc_config(ctx.spec.seed, workload.rate_scale());
         auc_cfg.repetitions = ctx.spec.repetitions.min(3);
-        auc_cfg.target = InjectionTarget::Layer(feeding);
-        let act_max = profile.act_max.max(f32::MIN_POSITIVE);
+        auc_cfg.target = InjectionTarget::Layer(profile.feeding_layer.expect("site has feeder"));
+        let act_max = profile.initial_threshold();
 
         // Algorithm 1
-        let mut net1 = workload.model.network.clone();
-        let init: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
-        net1.convert_to_clipped(&init);
+        let mut net1 = clipped.clone();
         let tuner = ThresholdTuner::new(TunerConfig {
             max_iterations: 3,
             min_iterations: 2,
@@ -438,8 +419,7 @@ pub fn tuner_vs_grid(ctx: &mut RunContext) -> Result<(), SpecError> {
         let alg1 = tuner.tune_site(&mut net1, site, act_max, &eval).expect("clipped site");
 
         // grid
-        let mut net2 = workload.model.network.clone();
-        net2.convert_to_clipped(&init);
+        let mut net2 = clipped.clone();
         let grid =
             grid_search_site(&mut net2, site, act_max, grid_points, &auc_cfg, &eval).expect("clipped site");
 

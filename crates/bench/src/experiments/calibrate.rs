@@ -8,11 +8,10 @@
 //! default; see `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`).
 
 use ftclip_core::ResultTable;
-use ftclip_data::SynthCifar;
 use ftclip_models::{Zoo, ZooArch};
 
 use crate::experiments::{outln, RunContext};
-use crate::spec::{SpecError, WorkloadSpec};
+use crate::spec::{DataSpec, SpecError, WorkloadSpec};
 
 /// Sweeps `class_sep` ∈ {0.2, 0.25, 0.3, 0.4} at the spec's `noise_std`,
 /// training both workloads per point (cached in a throwaway zoo directory,
@@ -23,14 +22,7 @@ pub fn dataset_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     outln!(ctx, "{:<10} {:>10} {:>10}", "class_sep", "alex_acc", "vgg_acc");
     let mut table = ResultTable::new(&ctx.spec.name, &["class_sep", "alex_acc", "vgg_acc"]);
     for sep in [0.2f32, 0.25, 0.3, 0.4] {
-        let data = SynthCifar::builder()
-            .seed(ctx.spec.seed)
-            .train_size(ctx.spec.data.train_size)
-            .val_size(ctx.spec.data.val_size)
-            .test_size(ctx.spec.data.test_size)
-            .noise_std(noise)
-            .class_sep(sep)
-            .build();
+        let data = DataSpec { class_sep: sep, ..ctx.spec.data.clone() }.build(ctx.spec.seed);
         let zoo = Zoo::new(std::env::temp_dir().join("ftclip-calibration"));
         let key = (sep.to_bits() as u64) << 32 | noise.to_bits() as u64;
         let alex = zoo

@@ -6,10 +6,10 @@
 //! (see the presets for the exact values each figure publishes).
 
 use ftclip_core::{
-    auc_normalized, campaign_auc, improvement_percent, profile_network, ResultTable, SiteEvaluator,
+    auc_normalized, campaign_auc, improvement_percent, ResultTable, SiteEvaluator, SiteProfile,
     ThresholdTuner, TunerConfig,
 };
-use ftclip_data::SynthCifar;
+use ftclip_data::Dataset;
 use ftclip_fault::{BitPosition, Campaign, CampaignResult, FaultModel, Injection, InjectionTarget};
 use ftclip_models::{model_size_report, ZooArch};
 use ftclip_nn::{Activation, Layer, Scratch, Sequential, Span};
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 
 use crate::experiments::resilience::{evaluate_resilience, print_panels, shape_checks};
 use crate::experiments::{outln, RunContext, RATE_SCALING_DOC};
-use crate::pipeline::{experiment_methodology, harden_network, tuning_auc_config};
+use crate::pipeline::{experiment_methodology, experiment_profile, harden_network, tuning_auc_config};
 use crate::spec::{Protection, SpecError};
 use crate::tables::campaign_summary_table;
 use crate::workload::Workload;
@@ -65,11 +65,7 @@ pub fn architecture(ctx: &mut RunContext) -> Result<(), SpecError> {
 }
 
 /// Applies the spec's [`Protection`] to a copy of the workload network.
-pub(crate) fn apply_protection(
-    ctx: &mut RunContext,
-    workload: &Workload,
-    protection: Protection,
-) -> Sequential {
+pub(crate) fn apply_protection(ctx: &RunContext, workload: &Workload, protection: Protection) -> Sequential {
     let base = &workload.model.network;
     match protection {
         Protection::Unprotected => base.clone(),
@@ -80,34 +76,26 @@ pub(crate) fn apply_protection(
             harden_network(&mut net, data.val(), ctx.spec.seed, tuning_subset, workload.rate_scale());
             net
         }
-        Protection::ClippedActMax => {
-            let mut net = base.clone();
-            net.convert_to_clipped(&profiled_act_max(ctx, base, &workload.data));
-            net
-        }
-        Protection::Saturated => with_saturated(base, &profiled_act_max(ctx, base, &workload.data)),
+        Protection::ClippedActMax => clipped_at_act_max(ctx, base, workload.data.val()),
+        Protection::Saturated => with_saturated(&clipped_at_act_max(ctx, base, workload.data.val())),
     }
 }
 
-/// Profiled per-site `ACT_max` thresholds of `net` on a validation subset
-/// of `data`.
-pub(crate) fn profiled_act_max(ctx: &RunContext, net: &Sequential, data: &SynthCifar) -> Vec<f32> {
-    let subset = data.val().subset(256.min(data.val().len()), ctx.spec.seed);
-    profile_network(net, subset.images(), 64, 32)
-        .iter()
-        .map(|p| p.act_max.max(f32::MIN_POSITIVE))
-        .collect()
+/// A copy of `net` clipped at its profiled `ACT_max` (Steps 1–2 on a
+/// 256-image subset of `validation`, no fine-tuning).
+pub(crate) fn clipped_at_act_max(ctx: &RunContext, net: &Sequential, validation: &Dataset) -> Sequential {
+    let mut clipped = net.clone();
+    experiment_profile(ctx.spec.seed, 256).clip(&mut clipped, validation);
+    clipped
 }
 
-/// The ReLU6-style saturation twin: every activation site saturates at its
-/// threshold instead of clipping to zero.
-pub(crate) fn with_saturated(net: &Sequential, thresholds: &[f32]) -> Sequential {
-    let mut out = net.clone();
-    let sites = out.activation_sites();
-    assert_eq!(sites.len(), thresholds.len());
-    for (&site, &t) in sites.iter().zip(thresholds) {
+/// The ReLU6-style saturation twin of a clipped network: every activation
+/// site saturates at its clipping threshold instead of clipping to zero.
+pub(crate) fn with_saturated(clipped: &Sequential) -> Sequential {
+    let mut out = clipped.clone();
+    for (site, t) in out.activation_sites().into_iter().zip(clipped.clip_thresholds()) {
         if let Layer::Activation(a) = &mut out.layers_mut()[site] {
-            a.func = Activation::SaturatedRelu { threshold: t };
+            a.func = Activation::SaturatedRelu { threshold: t.expect("every site is clipped") };
         }
     }
     out
@@ -133,10 +121,7 @@ pub fn campaign_summary(ctx: &mut RunContext) -> Result<(), SpecError> {
     let net = apply_protection(ctx, &workload, ctx.spec.protection);
     let eval = ctx.eval_set(workload.data.test());
 
-    let mut cfg = ctx
-        .spec
-        .campaign_config_with_scale(workload.rate_scale())
-        .map_err(SpecError::Campaign)?;
+    let mut cfg = ctx.spec.campaign_config_with_scale(workload.rate_scale())?;
     cfg.target = ctx.spec.target.resolve(&net)?;
     eprintln!(
         "[{}] campaign: {} rates × {} reps on {} images ({}), {} worker thread(s)",
@@ -191,7 +176,7 @@ pub fn campaign_summary(ctx: &mut RunContext) -> Result<(), SpecError> {
         "max_acc"
     );
     let paper_rates = ctx.spec.rates.label_rates();
-    for (i, summary) in result.summaries().map_err(SpecError::Campaign)?.iter().enumerate() {
+    for (i, summary) in result.summaries()?.iter().enumerate() {
         outln!(
             ctx,
             "{:<12.1e} {:<12.1e} {:>10.4} {:>10.4} {:>10.4}",
@@ -221,7 +206,7 @@ pub fn campaign_summary(ctx: &mut RunContext) -> Result<(), SpecError> {
             );
         }
     }
-    ctx.emit(&campaign_summary_table(&ctx.spec.name, &result, &paper_rates).map_err(SpecError::Campaign)?);
+    ctx.emit(&campaign_summary_table(&ctx.spec.name, &result, &paper_rates)?);
 
     // the headline qualitative check of Fig. 1b — validation guarantees a
     // non-empty grid, and the check degrades gracefully regardless
@@ -252,7 +237,7 @@ fn bitpos_rows(
     result: &CampaignResult,
 ) -> Result<Vec<f64>, SpecError> {
     let mut means = Vec::with_capacity(rates.len());
-    for (i, s) in result.summaries().map_err(SpecError::Campaign)?.iter().enumerate() {
+    for (i, s) in result.summaries()?.iter().enumerate() {
         outln!(
             ctx,
             "{:<10} {:<10} {:<12.1e} {:>10.4} {:>10.4} {:>10.4}",
@@ -293,10 +278,7 @@ pub fn bit_position_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     let eval = ctx.eval_set(workload.data.test());
     let plan = quantized_twin(ctx, &workload, &net);
 
-    let mut cfg = ctx
-        .spec
-        .campaign_config_with_scale(workload.rate_scale())
-        .map_err(SpecError::Campaign)?;
+    let mut cfg = ctx.spec.campaign_config_with_scale(workload.rate_scale())?;
     cfg.target = ctx.spec.target.resolve(&net)?;
     let rates = cfg.fault_rates.clone();
     let batch = ctx.spec.eval_batch;
@@ -424,7 +406,7 @@ pub fn per_layer_resilience(ctx: &mut RunContext) -> Result<(), SpecError> {
         let layer_index = net
             .layer_index_by_name(layer_name)
             .ok_or_else(|| SpecError::UnknownLayer(layer_name.clone()))?;
-        let mut cfg = ctx.spec.campaign_config_with_scale(scale).map_err(SpecError::Campaign)?;
+        let mut cfg = ctx.spec.campaign_config_with_scale(scale)?;
         cfg.seed = ctx.spec.seed ^ layer_index as u64;
         cfg.target = InjectionTarget::Layer(layer_index);
         eprintln!("[fig3] {layer_name}: {} rates × {} reps", cfg.fault_rates.len(), cfg.repetitions);
@@ -432,7 +414,7 @@ pub fn per_layer_resilience(ctx: &mut RunContext) -> Result<(), SpecError> {
         let result = Campaign::new(cfg).run(&net, ftclip_tensor::num_threads(), &session, suffix.clone());
         outln!(ctx, "\n{layer_name} (network layer {layer_index}):");
         outln!(ctx, "{:<12} {:>10} {:>10} {:>10}", "paper_rate", "mean_acc", "min_acc", "max_acc");
-        for (i, s) in result.summaries().map_err(SpecError::Campaign)?.iter().enumerate() {
+        for (i, s) in result.summaries()?.iter().enumerate() {
             outln!(ctx, "{:<12.1e} {:>10.4} {:>10.4} {:>10.4}", paper_rates[i], s.mean, s.min, s.max);
             table.row([
                 layer_name.as_str().into(),
@@ -625,29 +607,36 @@ pub fn methodology_walkthrough(ctx: &mut RunContext) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// Steps 1–2 on a copy of the workload network, plus the target layer
+/// `layer_name`: its layer index and the profile of the activation site it
+/// feeds (the shared setup of Figs. 5 and 6).
+fn clipped_with_target(
+    ctx: &RunContext,
+    workload: &Workload,
+    layer_name: &str,
+) -> Result<(Sequential, usize, SiteProfile), SpecError> {
+    let mut net = workload.model.network.clone();
+    let profiles = experiment_profile(ctx.spec.seed, 256).clip(&mut net, workload.data.val());
+    let target_layer = net
+        .layer_index_by_name(layer_name)
+        .ok_or_else(|| SpecError::UnknownLayer(layer_name.to_string()))?;
+    let profile = profiles
+        .into_iter()
+        .find(|p| p.feeds_from == layer_name)
+        .ok_or_else(|| SpecError::UnknownLayer(format!("{layer_name} (feeds no activation site)")))?;
+    Ok((net, target_layer, profile))
+}
+
 /// Fig. 5 — AUC vs clipping threshold of the spec's target layer.
 pub fn auc_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     let workload = ctx.workload();
-    let data = &workload.data;
-    let base = workload.model.network.clone();
-    let eval = ctx.eval_set(data.val());
+    let eval = ctx.eval_set(workload.data.val());
     let layer_name = ctx.spec.target.layer_name().expect("validated layer target").to_string();
 
-    // Step 1: profile ACT_max on a validation subset
-    let subset = data.val().subset(256.min(data.val().len()), ctx.spec.seed);
-    let profiles = profile_network(&base, subset.images(), 64, 32);
-    let sites = base.activation_sites();
-
-    let target_layer = base
-        .layer_index_by_name(&layer_name)
-        .ok_or_else(|| SpecError::UnknownLayer(layer_name.clone()))?;
-    let (site_pos, profile) = profiles
-        .iter()
-        .enumerate()
-        .find(|(_, p)| p.feeds_from == layer_name)
-        .ok_or_else(|| SpecError::UnknownLayer(format!("{layer_name} (feeds no activation site)")))?;
-    let act_max = profile.act_max;
-    let target_site = sites[site_pos];
+    // blue curve: every site clipped at its profiled ACT_max, the target's
+    // threshold swept
+    let (mut net, target_layer, profile) = clipped_with_target(ctx, &workload, &layer_name)?;
+    let (act_max, target_site) = (profile.act_max, profile.site);
 
     // AUC measurement campaign: faults in the target layer only (Fig. 5a)
     let mut auc_cfg = tuning_auc_config(ctx.spec.seed, workload.rate_scale());
@@ -655,16 +644,7 @@ pub fn auc_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     auc_cfg.target = InjectionTarget::Layer(target_layer);
 
     // red line: unbounded activations
-    let unbounded_auc = {
-        let mut net = base.clone();
-        auc_cfg.measure(&mut net, &eval.suffix_eval())
-    };
-
-    // blue curve: initialize all sites at ACT_max, sweep the target's
-    // threshold
-    let mut net = base.clone();
-    let init: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
-    net.convert_to_clipped(&init);
+    let unbounded_auc = auc_cfg.measure(&mut workload.model.network.clone(), &eval.suffix_eval());
 
     let sweep_points = 13usize;
     let evaluators = SiteEvaluator::new(&auc_cfg, &eval, target_site);
@@ -705,26 +685,9 @@ pub fn auc_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
 /// Fig. 6 — the Algorithm 1 interval-search trace on the target layer.
 pub fn tuning_trace(ctx: &mut RunContext) -> Result<(), SpecError> {
     let workload = ctx.workload();
-    let data = &workload.data;
-    let mut net = workload.model.network.clone();
-    let eval = ctx.eval_set(data.val());
+    let eval = ctx.eval_set(workload.data.val());
     let layer_name = ctx.spec.target.layer_name().expect("validated layer target").to_string();
-
-    let subset = data.val().subset(256.min(data.val().len()), ctx.spec.seed);
-    let profiles = profile_network(&net, subset.images(), 64, 32);
-    let sites = net.activation_sites();
-    let init: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
-    net.convert_to_clipped(&init);
-
-    let target_layer = net
-        .layer_index_by_name(&layer_name)
-        .ok_or_else(|| SpecError::UnknownLayer(layer_name.clone()))?;
-    let (site_pos, profile) = profiles
-        .iter()
-        .enumerate()
-        .find(|(_, p)| p.feeds_from == layer_name)
-        .ok_or_else(|| SpecError::UnknownLayer(format!("{layer_name} (feeds no activation site)")))?;
-    let target_site = sites[site_pos];
+    let (mut net, target_layer, profile) = clipped_with_target(ctx, &workload, &layer_name)?;
 
     let mut auc = tuning_auc_config(ctx.spec.seed, workload.rate_scale());
     auc.repetitions = ctx.spec.repetitions.min(5);
@@ -733,7 +696,7 @@ pub fn tuning_trace(ctx: &mut RunContext) -> Result<(), SpecError> {
 
     eprintln!("[fig6] tuning {layer_name} (ACT_max = {:.4}) …", profile.act_max);
     let outcome = tuner
-        .tune_site(&mut net, target_site, profile.act_max, &eval)
+        .tune_site(&mut net, profile.site, profile.initial_threshold(), &eval)
         .expect("site is clipped");
 
     let mut table = ResultTable::new(

@@ -12,9 +12,9 @@ use ftclip_core::Comparison;
 use ftclip_fault::{Campaign, CampaignResult};
 use ftclip_quant::Precision;
 
+use crate::experiments::figures::apply_protection;
 use crate::experiments::{outln, RunContext, RATE_SCALING_DOC};
-use crate::pipeline::harden_network;
-use crate::spec::SpecError;
+use crate::spec::{Protection, SpecError};
 use crate::tables::{resilience_box_table, resilience_mean_table};
 use crate::workload::Workload;
 
@@ -27,8 +27,6 @@ pub struct ResilienceEvaluation {
     pub unprotected: CampaignResult,
     /// Derived comparison (AUCs, improvements).
     pub comparison: Comparison,
-    /// The tuned clipping thresholds, in activation-site order.
-    pub tuned_thresholds: Vec<f32>,
     /// The paper-equivalent label rates (the actual grid is these × scale).
     pub paper_rates: Vec<f64>,
     /// Memory-size rate scale applied (see module docs).
@@ -49,17 +47,11 @@ pub fn evaluate_resilience(
     workload: &Workload,
 ) -> Result<ResilienceEvaluation, SpecError> {
     let spec = ctx.spec;
-    let data = &workload.data;
-    let eval = ctx.eval_set(data.test());
+    let eval = ctx.eval_set(workload.data.test());
 
-    let mut protected_net = workload.model.network.clone();
-    let tuning_subset = spec.eval_size.min(256).min(data.val().len());
-    let report =
-        harden_network(&mut protected_net, data.val(), spec.seed, tuning_subset, workload.rate_scale());
+    let protected_net = apply_protection(ctx, workload, Protection::ClippedTuned);
 
-    let mut config = spec
-        .campaign_config_with_scale(workload.rate_scale())
-        .map_err(SpecError::Campaign)?;
+    let mut config = spec.campaign_config_with_scale(workload.rate_scale())?;
     config.seed = spec.seed ^ 0xF16;
     config.target = spec.target.resolve(&protected_net)?;
     let campaign = Campaign::new(config);
@@ -97,7 +89,6 @@ pub fn evaluate_resilience(
         protected,
         unprotected,
         comparison,
-        tuned_thresholds: report.tuned_thresholds,
         paper_rates: spec.rates.label_rates(),
         rate_scale: workload.rate_scale(),
     })
@@ -160,7 +151,7 @@ pub fn print_panels(ctx: &mut RunContext, eval: &ResilienceEvaluation, stem: &st
             "q3",
             "max"
         );
-        for (i, s) in result.summaries().map_err(SpecError::Campaign)?.iter().enumerate() {
+        for (i, s) in result.summaries()?.iter().enumerate() {
             outln!(
                 ctx,
                 "{:<12.1e} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
@@ -172,10 +163,7 @@ pub fn print_panels(ctx: &mut RunContext, eval: &ResilienceEvaluation, stem: &st
                 s.max
             );
         }
-        ctx.emit(
-            &resilience_box_table(&format!("{stem}_{panel}_box"), result, &eval.paper_rates)
-                .map_err(SpecError::Campaign)?,
-        );
+        ctx.emit(&resilience_box_table(&format!("{stem}_{panel}_box"), result, &eval.paper_rates)?);
     }
 
     outln!(

@@ -21,11 +21,17 @@ pub fn tuning_auc_config(seed: u64, rate_scale: f64) -> AucConfig {
     }
 }
 
+/// The Steps 1–2 configuration shared by the figure procedures: a
+/// `subset_size`-image validation subset drawn with `seed`, batches of 64.
+pub(crate) fn experiment_profile(seed: u64, subset_size: usize) -> ProfileConfig {
+    ProfileConfig { subset_size, seed, batch_size: 64, bins: 64 }
+}
+
 /// The methodology instance shared by Figs. 5–8: 256-image validation
 /// subsets, Algorithm 1 with `N = 3`, `M = 2`, `δ = 0.01`.
 pub fn experiment_methodology(seed: u64, subset_size: usize, rate_scale: f64) -> Methodology {
     Methodology {
-        profile: ProfileConfig { subset_size, seed, batch_size: 64, bins: 64 },
+        profile: experiment_profile(seed, subset_size),
         tuner: TunerConfig {
             max_iterations: 3,
             min_iterations: 2,

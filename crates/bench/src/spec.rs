@@ -575,7 +575,7 @@ impl ExperimentSpec {
             // validate the *unscaled* grid so the error fires before any
             // model exists to compute a rate scale from; scaling clamps into
             // [0, 1], so a valid label grid stays valid after resolution
-            self.campaign_config_with_scale(1.0).map_err(spec_campaign_err)?;
+            self.campaign_config_with_scale(1.0)?;
         }
         if self.procedure.uses_layer_panels() && self.layers.is_empty() {
             return Err(SpecError::EmptyLayerList);
@@ -915,10 +915,6 @@ impl ExperimentSpec {
         spec.validate()?;
         Ok(spec)
     }
-}
-
-fn spec_campaign_err(e: CampaignError) -> SpecError {
-    SpecError::Campaign(e)
 }
 
 fn check_known_keys(obj: &[(String, Value)], known: &[&str]) -> Result<(), SpecError> {

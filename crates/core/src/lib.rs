@@ -19,7 +19,8 @@
 //!    The search is the paper's Algorithm 1 — iterative three-way interval
 //!    refinement around the best boundary.
 //!
-//! [`Methodology`] chains the three steps; [`Comparison`] computes the
+//! [`ProfileConfig::clip`] runs Steps 1–2 in one call; [`Methodology`]
+//! chains it with Step 3; [`Comparison`] computes the
 //! paper's §V-B improvement numbers between a hardened and an unprotected
 //! network.
 //!

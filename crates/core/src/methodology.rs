@@ -20,6 +20,24 @@ pub struct ProfileConfig {
     pub bins: usize,
 }
 
+impl ProfileConfig {
+    /// Runs Steps 1–2 on `net` in place: profiles every activation site on
+    /// a `subset_size` subset of `validation` drawn with `seed`, then
+    /// converts every site to its clipped form at
+    /// [`SiteProfile::initial_threshold`]. Weights and biases are untouched.
+    /// Returns the profiles, in activation-site order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has no activation sites or `batch_size == 0`.
+    pub fn clip(&self, net: &mut Sequential, validation: &Dataset) -> Vec<SiteProfile> {
+        let subset = validation.subset(self.subset_size.min(validation.len()), self.seed);
+        let profiles = profile_network(net, subset.images(), self.batch_size, self.bins);
+        net.convert_to_clipped(&profiles.iter().map(SiteProfile::initial_threshold).collect::<Vec<_>>());
+        profiles
+    }
+}
+
 impl Default for ProfileConfig {
     fn default() -> Self {
         ProfileConfig { subset_size: 256, seed: 0x5EED, batch_size: 64, bins: 64 }
@@ -94,18 +112,9 @@ impl Methodology {
     /// Panics if the network has no activation sites or the validation set
     /// is smaller than the configured subsets.
     pub fn harden(&self, net: &mut Sequential, validation: &Dataset) -> HardenReport {
-        // ---- Step 1: profiling --------------------------------------
-        let subset = validation.subset(self.profile.subset_size.min(validation.len()), self.profile.seed);
-        let profiles = profile_network(net, subset.images(), self.profile.batch_size, self.profile.bins);
-
-        // ---- Step 2: conversion + initialization --------------------
-        // Sites whose profiled ACT_max is non-positive (dead sites) get a
-        // tiny positive threshold so conversion stays valid.
-        let initial_thresholds: Vec<f32> = profiles
-            .iter()
-            .map(|p| if p.act_max > 0.0 { p.act_max } else { f32::MIN_POSITIVE })
-            .collect();
-        net.convert_to_clipped(&initial_thresholds);
+        // ---- Steps 1–2: profiling, conversion + initialization ------
+        let profiles = self.profile.clip(net, validation);
+        let initial_thresholds: Vec<f32> = profiles.iter().map(SiteProfile::initial_threshold).collect();
 
         // ---- Step 3: per-layer fine-tuning --------------------------
         let eval = EvalSet::from_subset(
@@ -114,15 +123,13 @@ impl Methodology {
             self.profile.seed ^ 0xA5A5,
             self.profile.batch_size,
         );
-        let comp_indices = net.computational_indices();
         let mut per_layer = Vec::with_capacity(profiles.len());
         let mut tuned_thresholds = Vec::with_capacity(profiles.len());
         for (profile, &initial) in profiles.iter().zip(&initial_thresholds) {
             // inject into the computational layer feeding this site, as in
             // the paper's per-layer AUC analysis (Fig. 5a)
-            let feeding_layer = comp_indices.iter().copied().rfind(|&ci| ci < profile.site);
             let mut tuner_cfg = self.tuner.clone();
-            if let Some(layer) = feeding_layer {
+            if let Some(layer) = profile.feeding_layer {
                 tuner_cfg.auc.target = InjectionTarget::Layer(layer);
             }
             let tuner = ThresholdTuner::new(tuner_cfg);
@@ -188,6 +195,27 @@ mod tests {
             .build()
     }
 
+    fn weight_bits(net: &Sequential) -> Vec<u32> {
+        let mut v = Vec::new();
+        net.visit_params(&mut |_, _, t, _| v.extend(t.data().iter().map(|x| x.to_bits())));
+        v
+    }
+
+    #[test]
+    fn clip_profiles_the_subset_and_clips_every_site_at_its_initial_threshold() {
+        let config = quick_methodology().profile;
+        let data = data();
+        let unclipped = small_net();
+        let mut net = unclipped.clone();
+        let profiles = config.clip(&mut net, data.val());
+
+        let subset = data.val().subset(config.subset_size, config.seed);
+        assert_eq!(profiles, profile_network(&unclipped, subset.images(), config.batch_size, config.bins));
+        assert_eq!(weight_bits(&net), weight_bits(&unclipped), "clip must not modify weights or biases");
+        let want: Vec<_> = profiles.iter().map(|p| Some(p.initial_threshold())).collect();
+        assert_eq!(net.clip_thresholds(), want);
+    }
+
     #[test]
     fn harden_produces_clipped_network() {
         let mut net = small_net();
@@ -203,18 +231,9 @@ mod tests {
     #[test]
     fn harden_never_touches_weights() {
         let mut net = small_net();
-        let before: Vec<u32> = {
-            let mut v = Vec::new();
-            net.visit_params(&mut |_, _, t, _| v.extend(t.data().iter().map(|x| x.to_bits())));
-            v
-        };
+        let before = weight_bits(&net);
         quick_methodology().harden(&mut net, data().val());
-        let after: Vec<u32> = {
-            let mut v = Vec::new();
-            net.visit_params(&mut |_, _, t, _| v.extend(t.data().iter().map(|x| x.to_bits())));
-            v
-        };
-        assert_eq!(before, after, "the methodology must not modify weights or biases");
+        assert_eq!(before, weight_bits(&net), "the methodology must not modify weights or biases");
     }
 
     #[test]

@@ -64,13 +64,17 @@ impl ActivationHistogram {
 }
 
 /// Profiling result for one activation site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteProfile {
     /// Layer index of the activation site within the network.
     pub site: usize,
     /// Paper-style name of the computational layer feeding this site
     /// (e.g. `"CONV-4"`).
     pub feeds_from: String,
+    /// Layer index of the computational layer feeding this site — the layer
+    /// [`feeds_from`](Self::feeds_from) names — or `None` if no
+    /// computational layer precedes it.
+    pub feeding_layer: Option<usize>,
     /// Maximum pre-activation value observed — the paper's `ACT_max`, the
     /// initial clipping threshold of Step 2 and the upper search bound of
     /// Step 3.
@@ -81,6 +85,15 @@ pub struct SiteProfile {
     pub mean: f32,
     /// Distribution of pre-activation values.
     pub histogram: ActivationHistogram,
+}
+
+impl SiteProfile {
+    /// The site's Step 2 clipping threshold: its `ACT_max`, or
+    /// `f32::MIN_POSITIVE` for a dead site (`ACT_max` zero, negative or
+    /// NaN), so the conversion stays valid. The one home of that rule.
+    pub fn initial_threshold(&self) -> f32 {
+        self.act_max.max(f32::MIN_POSITIVE)
+    }
 }
 
 /// Profiles every activation site of `net` over `images` (paper Step 1).
@@ -108,18 +121,10 @@ pub fn profile_network(
     assert!(sites[0] > 0, "activation site at layer 0 has no feeding layer");
     let n = images.shape()[0];
 
-    // map each activation site to the computational layer feeding it (for
-    // naming)
+    // map each activation site to the computational layer feeding it
     let comp_indices = net.computational_indices();
     let comp_names = net.computational_names();
-    let name_of_site = |site: usize| -> String {
-        comp_indices
-            .iter()
-            .zip(&comp_names)
-            .rfind(|(&ci, _)| ci < site)
-            .map(|(_, name)| name.clone())
-            .unwrap_or_else(|| "INPUT".to_string())
-    };
+    let feeder_of_site = |site: usize| comp_indices.iter().zip(&comp_names).rfind(|(&ci, _)| ci < site);
 
     // One scratch arena for the whole call; every batch walks the sites in
     // order, handing `visit` each site's input tensor.
@@ -172,13 +177,17 @@ pub fn profile_network(
     sites
         .iter()
         .enumerate()
-        .map(|(si, &site)| SiteProfile {
-            site,
-            feeds_from: name_of_site(site),
-            act_max: maxs[si],
-            act_min: mins[si],
-            mean: (sums[si] / counts[si] as f64) as f32,
-            histogram: histograms[si].clone(),
+        .map(|(si, &site)| {
+            let feeder = feeder_of_site(site);
+            SiteProfile {
+                site,
+                feeds_from: feeder.map_or_else(|| "INPUT".to_string(), |(_, name)| name.clone()),
+                feeding_layer: feeder.map(|(&ci, _)| ci),
+                act_max: maxs[si],
+                act_min: mins[si],
+                mean: (sums[si] / counts[si] as f64) as f32,
+                histogram: histograms[si].clone(),
+            }
         })
         .collect()
 }
@@ -273,6 +282,42 @@ mod tests {
         assert_eq!(histogram_range(2.0, 2.0), (1.5, 2.5));
         let (lo, hi) = histogram_range(f32::MAX, f32::MAX);
         assert!(lo < hi && hi.is_finite());
+    }
+
+    #[test]
+    fn feeding_layer_is_the_layer_feeds_from_names() {
+        for (net, channels) in
+            [(ftclip_models::alexnet_cifar(0.125, 10, 5), 3), (ftclip_models::lenet5(10, 5), 1)]
+        {
+            let x = ftclip_tensor::uniform_init(&[2, channels, 32, 32], -1.0, 1.0, &mut rand_rng(5));
+            let profiles = profile_network(&net, &x, 2, 4);
+            assert_eq!(profiles.len(), net.activation_sites().len());
+            for p in &profiles {
+                let layer = p.feeding_layer.unwrap_or_else(|| panic!("site {} has no feeder", p.site));
+                assert_eq!(net.layer_index_by_name(&p.feeds_from), Some(layer), "site {}", p.site);
+                assert!(layer < p.site);
+            }
+        }
+    }
+
+    #[test]
+    fn initial_threshold_is_act_max_or_min_positive_for_a_dead_site() {
+        let at = |act_max: f32| {
+            SiteProfile {
+                site: 1,
+                feeds_from: "CONV-1".to_string(),
+                feeding_layer: Some(0),
+                act_max,
+                act_min: 0.0,
+                mean: 0.0,
+                histogram: ActivationHistogram::build(std::iter::empty(), 0.0, 1.0, 1),
+            }
+            .initial_threshold()
+        };
+        assert_eq!(at(2.5), 2.5);
+        for dead in [0.0, -0.0, -3.0, f32::NEG_INFINITY, f32::NAN] {
+            assert_eq!(at(dead), f32::MIN_POSITIVE, "act_max {dead}");
+        }
     }
 
     #[test]

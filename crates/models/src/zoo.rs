@@ -75,26 +75,6 @@ pub struct ModelSpec {
 }
 
 impl ModelSpec {
-    /// A sensible default spec for the given architecture at the
-    /// experiment-scale widths of `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`.
-    pub fn default_for(arch: ZooArch) -> Self {
-        let (width_mult, epochs, lr) = match arch {
-            ZooArch::AlexNet => (0.25, 12, 0.02),
-            ZooArch::Vgg16 | ZooArch::Vgg16Bn => (0.125, 12, 0.02),
-            ZooArch::LeNet5 => (1.0, 8, 0.05),
-        };
-        ModelSpec {
-            arch,
-            width_mult,
-            classes: 10,
-            seed: 42,
-            epochs,
-            batch_size: 64,
-            lr,
-            augment: true,
-        }
-    }
-
     /// Builds the untrained network for this spec.
     pub fn build(&self) -> Sequential {
         match self.arch {
@@ -142,7 +122,17 @@ pub struct TrainedModel {
 ///
 /// let data = SynthCifar::builder().seed(1).build();
 /// let zoo = Zoo::new("assets");
-/// let model = zoo.train_or_load(&ModelSpec::default_for(ZooArch::AlexNet), &data).unwrap();
+/// let spec = ModelSpec {
+///     arch: ZooArch::AlexNet,
+///     width_mult: 0.125,
+///     classes: 10,
+///     seed: 42,
+///     epochs: 10,
+///     batch_size: 64,
+///     lr: 0.03,
+///     augment: true,
+/// };
+/// let model = zoo.train_or_load(&spec, &data).unwrap();
 /// println!("test accuracy {:.3}", model.test_accuracy);
 /// ```
 #[derive(Debug, Clone)]
@@ -301,7 +291,16 @@ mod tests {
     #[test]
     fn default_specs_build() {
         for arch in [ZooArch::AlexNet, ZooArch::Vgg16, ZooArch::Vgg16Bn, ZooArch::LeNet5] {
-            let spec = ModelSpec::default_for(arch);
+            let spec = ModelSpec {
+                arch,
+                width_mult: 0.125,
+                classes: 10,
+                seed: 42,
+                epochs: 1,
+                batch_size: 64,
+                lr: 0.03,
+                augment: true,
+            };
             let net = spec.build();
             assert!(net.param_count() > 0);
         }

@@ -10,7 +10,7 @@
 //! cargo run --release --example hw_protection
 //! ```
 
-use ftclipact::core::{profile_network, EvalSet};
+use ftclipact::core::{EvalSet, ProfileConfig};
 use ftclipact::fault::{
     derive_seed, inject_with_protection, DoubleErrorPolicy, FaultModel, InjectionTarget, ProtectionScheme,
     SecDed,
@@ -53,10 +53,9 @@ fn main() {
     println!("clean accuracy: {:.3}\n", eval.accuracy(&net));
 
     // clipped variant (thresholds = profiled ACT_max)
-    let profiles = profile_network(&net, data.val().images(), 64, 16);
-    let thresholds: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
     let mut clipped = net.clone();
-    clipped.convert_to_clipped(&thresholds);
+    ProfileConfig { subset_size: data.val().len(), ..ProfileConfig::default() }
+        .clip(&mut clipped, data.val());
 
     // ---- compare schemes at growing fault rates -----------------------
     let rates = [1e-5f64, 1e-4, 1e-3];

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ftclipact::core::{profile_network, EvalSet};
+use ftclipact::core::{EvalSet, ProfileConfig};
 use ftclipact::fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget};
 use ftclipact::nn::{Layer, OptimizerKind, Sequential, Trainer};
 use ftclipact::prelude::*;
@@ -73,11 +73,10 @@ fn main() {
     // ------------------------------------------------------------------
     // 3. FT-ClipAct Step 1+2: profile ACT_max, clip every activation.
     // ------------------------------------------------------------------
-    let profiles = profile_network(&net, data.val().images(), 64, 32);
-    let thresholds: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
-    println!("\nprofiled ACT_max per activation site: {thresholds:?}");
     let mut clipped = net.clone();
-    clipped.convert_to_clipped(&thresholds);
+    let profile = ProfileConfig { subset_size: data.val().len(), ..ProfileConfig::default() };
+    let act_max: Vec<f32> = profile.clip(&mut clipped, data.val()).iter().map(|p| p.act_max).collect();
+    println!("\nprofiled ACT_max per activation site: {act_max:?}");
     let protected =
         campaign.run(&clipped, ftclipact::tensor::num_threads(), &NoCache, |n: &Sequential| eval.accuracy(n));
 

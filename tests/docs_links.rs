@@ -241,7 +241,7 @@ fn the_two_diagrams_moved_to_the_architecture_guide() {
 /// under `src/bin/` are exempt: a load client's threads split no budget.
 #[test]
 fn only_the_fan_out_primitive_opens_a_thread_scope() {
-    let offenders = library_files_containing("thread::scope(", "crates/tensor/src/par.rs");
+    let offenders = library_files_containing("thread::scope(", &["crates/tensor/src/par.rs"]);
     assert!(
         offenders.is_empty(),
         "library code outside par.rs opens its own thread scope; use ftclip_tensor::fan_out:\n{}",
@@ -255,7 +255,7 @@ fn only_the_fan_out_primitive_opens_a_thread_scope() {
 /// `crates/nn/src/activation.rs` calls the per-element `apply_scalar`.
 #[test]
 fn only_the_activation_module_calls_apply_scalar() {
-    let offenders = library_files_containing(".apply_scalar(", "crates/nn/src/activation.rs");
+    let offenders = library_files_containing(".apply_scalar(", &["crates/nn/src/activation.rs"]);
     assert!(
         offenders.is_empty(),
         "library code outside activation.rs applies activations per element; use Activation::bias_act:\n{}",
@@ -263,17 +263,34 @@ fn only_the_activation_module_calls_apply_scalar() {
     );
 }
 
+/// Structure guard for the one Steps 1–2 entry point: profiling a network to
+/// clip it goes through `ProfileConfig::clip` (or `Methodology::harden`,
+/// which calls it), so no library code outside the profiler and the
+/// methodology calls `profile_network` itself.
+#[test]
+fn only_the_methodology_calls_the_profiler() {
+    let offenders = library_files_containing(
+        "profile_network(",
+        &["crates/core/src/profile.rs", "crates/core/src/methodology.rs"],
+    );
+    assert!(
+        offenders.is_empty(),
+        "library code outside the methodology profiles by hand; use ProfileConfig::clip:\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// The crate sources (`crates/*/src/**`, binaries under `src/bin/` exempt)
-/// other than `allowed` whose code above the `#[cfg(test)]` module contains
-/// `needle`, sorted.
-fn library_files_containing(needle: &str, allowed: &str) -> Vec<String> {
+/// other than the `allowed` files whose code above the `#[cfg(test)]` module
+/// contains `needle`, sorted.
+fn library_files_containing(needle: &str, allowed: &[&str]) -> Vec<String> {
     let root = repo_root();
-    let allowed = root.join(allowed);
+    let allowed: Vec<PathBuf> = allowed.iter().map(|file| root.join(file)).collect();
     let mut files = Vec::new();
     rust_files(&root.join("crates"), &mut files);
     let mut offenders: Vec<String> = files
         .iter()
-        .filter(|file| **file != allowed)
+        .filter(|file| !allowed.contains(file))
         .filter(|file| {
             let rel = file.strip_prefix(root.join("crates")).expect("under crates/");
             let parts: Vec<_> =

@@ -5,9 +5,8 @@ use ftclip_fault::{
     derive_seed, inject_with_protection, Campaign, DoubleErrorPolicy, FaultModel, InjectionTarget, MemoryMap,
     ProtectionScheme,
 };
-use ftclip_models::{alexnet_cifar_with_activation, ZooArch};
-use ftclip_nn::sched::LrSchedule;
-use ftclip_nn::{evaluate, Activation, OptimizerKind, Sequential, Trainer};
+use ftclip_models::ZooArch;
+use ftclip_nn::{Activation, Sequential};
 use ftclip_quant::Precision;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,8 +14,7 @@ use rand::SeedableRng;
 use crate::experiments::figures::{clipped_at_act_max, with_saturated};
 use crate::experiments::{outln, RunContext};
 use crate::pipeline::{experiment_profile, harden_network, tuning_auc_config};
-use crate::spec::SpecError;
-use crate::workload::arch_profile;
+use crate::spec::{SpecError, WorkloadSpec};
 
 /// Hardens a copy of the workload network on its validation split with the
 /// tuning-subset convention the ablations share.
@@ -303,48 +301,31 @@ pub fn hw_baselines(ctx: &mut RunContext) -> Result<(), SpecError> {
 
 /// Ablation: the clipped **Leaky-ReLU** (the paper's §IV-A generalization).
 ///
-/// Trains a Leaky-ReLU twin with the spec's workload hyper-parameters
-/// (not via the zoo: the activation function is not a zoo axis), clips it
-/// with profiled thresholds, and verifies the mitigation transfers.
+/// Loads the Leaky-ReLU twin ([`ZooArch::AlexNetLeaky`]) from the zoo with
+/// the spec's AlexNet workload hyper-parameters, clips it with profiled
+/// thresholds, and verifies the mitigation transfers.
 pub fn leaky_clip(ctx: &mut RunContext) -> Result<(), SpecError> {
-    let data = ctx.data();
-    let w = &ctx.spec.workload;
-
-    eprintln!("[ablation] training Leaky-ReLU AlexNet …");
-    let mut net =
-        alexnet_cifar_with_activation(w.width_mult, 10, ctx.spec.seed, Activation::LeakyRelu { slope: 0.01 });
-    Trainer::builder()
-        .epochs(w.epochs)
-        .batch_size(w.batch_size)
-        .schedule(LrSchedule::Cosine { lr: w.lr, min_lr: w.lr / 100.0, total_epochs: w.epochs })
-        .optimizer(OptimizerKind::Sgd { momentum: 0.9, weight_decay: 5e-4 })
-        .seed(ctx.spec.seed)
-        .augment(w.augment)
-        .verbose(std::env::var_os("FTCLIP_VERBOSE").is_some())
-        .build()
-        .fit(
-            &mut net,
-            data.train().images(),
-            data.train().labels(),
-            Some((data.val().images(), data.val().labels())),
-        );
-    let test_acc = evaluate(&net, data.test().images(), data.test().labels(), 64);
-    eprintln!("[ablation] leaky AlexNet test accuracy {test_acc:.3}");
+    let workload = ctx.workloads.load(
+        ctx.spec,
+        &WorkloadSpec { arch: ZooArch::AlexNetLeaky, ..ctx.spec.workload.clone() },
+        &ctx.settings.assets_dir,
+    );
+    let data = &workload.data;
+    let net = &workload.model.network;
 
     let eval = ctx.eval_set(data.test());
-    let clipped = clipped_at_act_max(ctx, &net, data.val());
+    let clipped = clipped_at_act_max(ctx, net, data.val());
     assert!(matches!(
         clipped.activation_at(clipped.activation_sites()[0]),
         Some(Activation::ClippedLeakyRelu { .. })
     ));
 
-    let rate_scale = arch_profile(ZooArch::AlexNet).1 as f64 / net.param_count() as f64;
-    let mut cfg = ctx.spec.campaign_config_with_scale(rate_scale)?;
-    cfg.target = ctx.spec.target.resolve(&net)?;
+    let mut cfg = ctx.spec.campaign_config_with_scale(workload.rate_scale())?;
+    cfg.target = ctx.spec.target.resolve(net)?;
     let campaign = Campaign::new(cfg);
     eprintln!("[ablation] campaigns …");
-    let unprot_session = ctx.campaign_session("ablation_leaky_clip", &net, campaign.config(), Precision::F32);
-    let unprotected = campaign.run(&net, ftclip_tensor::num_threads(), &unprot_session, eval.suffix_eval());
+    let unprot_session = ctx.campaign_session("ablation_leaky_clip", net, campaign.config(), Precision::F32);
+    let unprotected = campaign.run(net, ftclip_tensor::num_threads(), &unprot_session, eval.suffix_eval());
     let prot_session =
         ctx.campaign_session("ablation_leaky_clip", &clipped, campaign.config(), Precision::F32);
     let protected = campaign.run(&clipped, ftclip_tensor::num_threads(), &prot_session, eval.suffix_eval());

@@ -13,7 +13,6 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use ftclip_core::{EvalSet, EvalSettings, ResultTable};
-use ftclip_data::SynthCifar;
 use ftclip_fault::{CampaignCache, CampaignConfig, RunRecord};
 use ftclip_models::ZooArch;
 use ftclip_nn::Sequential;
@@ -257,11 +256,6 @@ impl<'a> RunContext<'a> {
             WorkloadSpec::default_for(arch)
         };
         self.workloads.load(self.spec, &workload, &self.settings.assets_dir)
-    }
-
-    /// The dataset the spec describes.
-    pub fn data(&self) -> SynthCifar {
-        spec_data(self.spec)
     }
 
     /// The spec's evaluation-subset settings.

@@ -432,7 +432,7 @@ impl WorkloadSpec {
     /// The experiment-scale defaults for `arch`.
     pub fn default_for(arch: ZooArch) -> Self {
         let (width_mult, epochs, lr) = match arch {
-            ZooArch::AlexNet => (0.125, 10, 0.03),
+            ZooArch::AlexNet | ZooArch::AlexNetLeaky => (0.125, 10, 0.03),
             ZooArch::Vgg16 | ZooArch::Vgg16Bn => (0.125, 12, 0.05),
             ZooArch::LeNet5 => (1.0, 6, 0.05),
         };
@@ -563,9 +563,10 @@ impl ExperimentSpec {
             )));
         }
         if self.procedure == Procedure::AblationLeakyClip && self.workload.arch != ZooArch::AlexNet {
-            // the leaky twin is built with alexnet_cifar_with_activation;
-            // silently running AlexNet under a VGG-labeled output would be
-            // a lie, so reject the combination up front
+            // the leaky twin is the alexnet-leaky zoo entry trained with
+            // this AlexNet workload's hyper-parameters; silently running it
+            // under a VGG-labeled output would be a lie, so reject the
+            // combination up front
             return Err(SpecError::UnsupportedArch(format!(
                 "ablation-leaky-clip only supports the alexnet workload, got {}",
                 self.workload.arch

@@ -66,6 +66,8 @@ pub fn spec_data(spec: &ExperimentSpec) -> SynthCifar {
 pub(crate) fn arch_profile(arch: ZooArch) -> (&'static str, usize) {
     match arch {
         ZooArch::AlexNet => ("AlexNet", ftclip_models::alexnet_cifar(1.0, 10, 0).param_count()),
+        // an activation has no parameters: both AlexNets have one memory size
+        ZooArch::AlexNetLeaky => ("Leaky-ReLU AlexNet", arch_profile(ZooArch::AlexNet).1),
         // the BN variant is the trainable stand-in for VGG-16 (see
         // docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset);
         // both map rates through the plain full-width VGG-16 memory
@@ -163,5 +165,10 @@ mod tests {
         let (_, lenet) = arch_profile(ZooArch::LeNet5);
         assert!(vgg > alex && alex > lenet, "VGG-16 ≫ AlexNet ≫ LeNet-5");
         assert_eq!(arch_profile(ZooArch::Vgg16).1, vgg, "BN variant maps through the same memory");
+        assert_eq!(
+            arch_profile(ZooArch::AlexNetLeaky).1,
+            alex,
+            "Leaky-ReLU twin maps through the same memory"
+        );
     }
 }

@@ -280,6 +280,23 @@ fn only_the_methodology_calls_the_profiler() {
     );
 }
 
+/// Structure guard for the one model path: every network a preset runs is
+/// a zoo entry, trained (once, then loaded from `assets/`) by
+/// `Zoo::train_or_load`, so no library code outside the zoo builds a
+/// trainer. The trainer's own rustdoc example is exempt.
+#[test]
+fn only_the_zoo_trains() {
+    let offenders = library_files_containing(
+        "Trainer::builder(",
+        &["crates/models/src/zoo.rs", "crates/nn/src/train.rs"],
+    );
+    assert!(
+        offenders.is_empty(),
+        "library code outside the zoo trains a network; add a ZooArch and load it through the zoo:\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// The crate sources (`crates/*/src/**`, binaries under `src/bin/` exempt)
 /// other than the `allowed` files whose code above the `#[cfg(test)]` module
 /// contains `needle`, sorted.

@@ -1,9 +1,7 @@
 //! End-to-end integration: train → inject → harden → compare, across all
 //! workspace crates through the facade.
 
-use ftclipact::core::{
-    campaign_auc, profile_network, AucConfig, EvalSet, Methodology, ProfileConfig, TunerConfig,
-};
+use ftclipact::core::{campaign_auc, AucConfig, EvalSet, Methodology, ProfileConfig, TunerConfig};
 use ftclipact::fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget};
 use ftclipact::nn::{Layer, OptimizerKind, Sequential, Trainer};
 use ftclipact::prelude::*;
@@ -83,10 +81,14 @@ fn profiled_clipping_recovers_resilience() {
     let unprotected = trained_cnn(&data);
     let eval = EvalSet::from_dataset(data.test(), 64);
 
-    let profiles = profile_network(&unprotected, data.val().images(), 64, 16);
-    let thresholds: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
     let mut clipped = unprotected.clone();
-    clipped.convert_to_clipped(&thresholds);
+    ProfileConfig {
+        subset_size: data.val().len(),
+        seed: 0,
+        batch_size: 64,
+        bins: 16,
+    }
+    .clip(&mut clipped, data.val());
 
     let campaign = Campaign::new(CampaignConfig {
         fault_rates: vec![1e-5, 1e-4, 1e-3],

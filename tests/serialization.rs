@@ -1,7 +1,7 @@
 //! Cross-crate serialization: trained and hardened networks survive a disk
 //! roundtrip with behaviour intact — including the tuned clip thresholds.
 
-use ftclipact::core::profile_network;
+use ftclipact::core::ProfileConfig;
 use ftclipact::nn::{load_network, save_network, Layer, Scratch, Sequential, Span, Trainer};
 use ftclipact::prelude::*;
 
@@ -33,9 +33,13 @@ fn hardened_network_roundtrips_with_thresholds() {
         None,
     );
     // clip with profiled thresholds
-    let profiles = profile_network(&net, data.val().images(), 32, 8);
-    let thresholds: Vec<f32> = profiles.iter().map(|p| p.act_max.max(f32::MIN_POSITIVE)).collect();
-    net.convert_to_clipped(&thresholds);
+    ProfileConfig {
+        subset_size: data.val().len(),
+        seed: 0,
+        batch_size: 32,
+        bins: 8,
+    }
+    .clip(&mut net, data.val());
 
     let path = temp_path("hardened.ftcw");
     save_network(&net, &path).expect("save");

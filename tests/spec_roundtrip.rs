@@ -11,7 +11,8 @@ use ftclipact::fault::FaultModel;
 use ftclipact::models::ZooArch;
 use proptest::prelude::*;
 
-const ARCHS: [ZooArch; 4] = [ZooArch::AlexNet, ZooArch::Vgg16, ZooArch::Vgg16Bn, ZooArch::LeNet5];
+const ARCHS: [ZooArch; 5] =
+    [ZooArch::AlexNet, ZooArch::AlexNetLeaky, ZooArch::Vgg16, ZooArch::Vgg16Bn, ZooArch::LeNet5];
 const FAULT_MODELS: [FaultModel; 3] = [FaultModel::BitFlip, FaultModel::StuckAt0, FaultModel::StuckAt1];
 const PROTECTIONS: [Protection; 4] =
     [Protection::Unprotected, Protection::ClippedTuned, Protection::ClippedActMax, Protection::Saturated];
@@ -94,7 +95,7 @@ proptest! {
     #[test]
     fn json_round_trip_is_identity_and_fingerprint_stable(
         procedure_i in 0usize..17,
-        arch_i in 0usize..4,
+        arch_i in 0usize..5,
         fault_i in 0usize..3,
         protection_i in 0usize..4,
         target_i in 0usize..10,

@@ -8,7 +8,8 @@
 //! default; see `docs/ARCHITECTURE.md#rate-scaling-and-the-synthetic-dataset`).
 
 use ftclip_core::ResultTable;
-use ftclip_models::{Zoo, ZooArch};
+use ftclip_models::{TrainedModel, Zoo, ZooArch};
+use ftclip_nn::evaluate;
 
 use crate::experiments::{outln, RunContext};
 use crate::spec::{DataSpec, SpecError, WorkloadSpec};
@@ -37,8 +38,11 @@ pub fn dataset_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
                 &data,
             )
             .expect("train vgg");
-        outln!(ctx, "{:<10.2} {:>10.3} {:>10.3}", sep, alex.test_accuracy, vgg.test_accuracy);
-        table.row([sep.into(), alex.test_accuracy.into(), vgg.test_accuracy.into()]);
+        let test = data.test();
+        let accuracy = |m: &TrainedModel| evaluate(&m.network, test.images(), test.labels(), 64);
+        let (alex_acc, vgg_acc) = (accuracy(&alex), accuracy(&vgg));
+        outln!(ctx, "{:<10.2} {:>10.3} {:>10.3}", sep, alex_acc, vgg_acc);
+        table.row([sep.into(), alex_acc.into(), vgg_acc.into()]);
     }
     ctx.emit(&table);
     Ok(())

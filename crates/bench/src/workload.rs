@@ -91,8 +91,7 @@ pub fn load_workload(spec: &ExperimentSpec, data: &SynthCifar, assets_dir: &Path
         .train_or_load(&model_spec, data)
         .unwrap_or_else(|e| panic!("failed to train/load {name}: {e}"));
     eprintln!(
-        "[workload] {name}: test accuracy {:.3} ({}; {} params; rate scale ×{:.1})",
-        model.test_accuracy,
+        "[workload] {name}: {}; {} params; rate scale ×{:.1}",
         if model.from_cache { "cached" } else { "freshly trained" },
         model.network.param_count(),
         full_width_params as f64 / model.network.param_count() as f64,

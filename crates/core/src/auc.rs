@@ -134,13 +134,20 @@ impl AucConfig {
 /// threshold of one clipping site changes between measurements.
 ///
 /// A `Layer(l)` target with `l < site` cuts every cell, and the clean pass,
-/// at `l`. So every cached activation enters a layer `≤ l` and was computed
-/// by layers below `l` only; the site is not among them, and its threshold
-/// cannot reach the cache. One [`SuffixAccuracy`] then serves every
-/// measurement, and the prefix below `l` is computed once per site instead
-/// of once per campaign. Any other target may cut at or beyond the site (a
-/// whole-network cell cuts at its earliest fault), so each measurement gets
-/// a fresh evaluator.
+/// at `l`. So every cached prefix activation enters a layer `≤ l` and was
+/// computed by layers below `l` only; the site is not among them, and its
+/// threshold cannot reach the cache. One [`SuffixAccuracy`] then serves
+/// every measurement, and the prefix below `l` is computed once per site
+/// instead of once per campaign.
+///
+/// That evaluator is also resumed at the site. The cell seed does not
+/// depend on the threshold, so every threshold sees the same fault sets in
+/// `l`, and the same activation entering the site: it is computed once per
+/// (cell, site) and once for the clean pass, and each measurement runs
+/// only the layers from the site onwards.
+///
+/// Any other target may cut at or beyond the site (a whole-network cell
+/// cuts at its earliest fault), so each measurement gets a fresh evaluator.
 #[derive(Debug, Clone)]
 pub struct SiteEvaluator {
     eval: EvalSet,
@@ -151,7 +158,8 @@ impl SiteEvaluator {
     /// The evaluators for measurements of `auc`'s campaign over `eval`
     /// while the threshold of the activation layer at `site` is varied.
     pub fn new(auc: &AucConfig, eval: &EvalSet, site: usize) -> Self {
-        let shared = matches!(auc.target, InjectionTarget::Layer(l) if l < site).then(|| eval.suffix_eval());
+        let shared = matches!(auc.target, InjectionTarget::Layer(l) if l < site)
+            .then(|| eval.suffix_eval().at_site(site));
         SiteEvaluator { eval: eval.clone(), shared }
     }
 

@@ -1,9 +1,12 @@
 //! Fixed evaluation sets for campaigns and tuning, plus the clean-prefix
 //! activation cache that lets fault campaigns re-execute only the network
-//! suffix below the earliest faulted layer.
+//! suffix below the earliest faulted layer, and the cut cache that lets a
+//! threshold search resume at the tuned site.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ftclip_data::Dataset;
 use ftclip_fault::{CellEval, SuffixHint};
@@ -165,6 +168,30 @@ impl EvalSet {
         correct as f64 / n as f64
     }
 
+    /// Images `[start, end)` of batch `b` and the plan that scores them.
+    /// One compiled plan serves the full pass AND every span cut — the
+    /// [`SuffixHint`] paths can never skew from the forward path.
+    fn batch_plan(&self, net: &Sequential, b: usize) -> (usize, usize, Arc<ForwardPlan>) {
+        let start = b * self.batch_size;
+        let end = (start + self.batch_size).min(self.labels.len());
+        let mut dims = self.images.shape().dims().to_vec();
+        dims[0] = end - start;
+        (start, end, net.plan(&dims))
+    }
+
+    /// How many of images `[start, end)` `logits` classify correctly; the
+    /// logits go back to the arena.
+    fn count_correct(&self, logits: Tensor, start: usize, end: usize, scratch: &mut Scratch) -> usize {
+        let correct = logits
+            .argmax_rows()
+            .iter()
+            .zip(&self.labels[start..end])
+            .filter(|(p, l)| p == l)
+            .count();
+        scratch.recycle(logits.into_vec());
+        correct
+    }
+
     /// Correct-classification count of batch `b`, running only the layers
     /// from `cut` onwards.
     fn suffix_correct_in_batch(
@@ -175,33 +202,86 @@ impl EvalSet {
         b: usize,
         scratch: &mut Scratch,
     ) -> usize {
-        let n = self.labels.len();
-        let bs = self.batch_size;
-        let start = b * bs;
-        let end = (start + bs).min(n);
-        let mut dims = self.images.shape().dims().to_vec();
-        dims[0] = end - start;
-        // One compiled plan serves the full pass AND every span cut —
-        // the SuffixHint path can never skew from the forward path.
-        let plan = net.plan(&dims);
-        let logits = if cut == 0 {
-            // no clean prefix to reuse — plain full forward on the batch
+        let (start, end, plan) = self.batch_plan(net, b);
+        let logits = self.run_from_cut(net, &plan, cut, Span::suffix(cut), b, start, end, cache, scratch);
+        self.count_correct(logits, start, end, scratch)
+    }
+
+    /// Runs `span`, which starts at `cut`, on the clean activation entering
+    /// `cut` for batch `b` (images `[start, end)`): the images themselves at
+    /// cut 0, where there is no prefix to reuse, else the memoized prefix.
+    #[allow(clippy::too_many_arguments)]
+    fn run_from_cut(
+        &self,
+        net: &Sequential,
+        plan: &ForwardPlan,
+        cut: usize,
+        span: Span,
+        b: usize,
+        start: usize,
+        end: usize,
+        cache: &PrefixCache,
+        scratch: &mut Scratch,
+    ) -> Tensor {
+        if cut == 0 {
             let bx = self.batch_tensor(start, end, scratch);
-            let y = plan.execute(net, &bx, Span::full(), scratch);
+            let y = plan.execute(net, &bx, span, scratch);
             scratch.recycle(bx.into_vec());
             y
         } else {
-            let act = self.prefix_activation(net, &plan, cut, b, start, end, cache, scratch);
-            plan.execute(net, &act, Span::suffix(cut), scratch)
+            let act = self.prefix_activation(net, plan, cut, b, start, end, cache, scratch);
+            plan.execute(net, &act, span, scratch)
+        }
+    }
+
+    /// Accuracy of `net` resumed at layer `site`, for a network whose
+    /// layers before `cut` hold their clean values (`cut < site`): the
+    /// activation entering `site` is looked up in (or computed into)
+    /// `cache`'s cut cache under the exact bits of every parameter in
+    /// layers `[cut, site)`, and only `[site, len)` runs against `net`.
+    /// A computed activation starts from the clean prefix at `cut`.
+    fn accuracy_from_site(&self, net: &Sequential, cut: usize, site: usize, cache: &PrefixCache) -> f64 {
+        let n = self.labels.len();
+        let batches = n.div_ceil(self.batch_size);
+        let cell = cache.cut_cell(CutKey::of(net, cut, site), batches);
+        let correct: usize = ftclip_tensor::fan_out(
+            ftclip_tensor::num_threads().max(1),
+            batches,
+            Scratch::new,
+            |scratch, b| self.site_correct_in_batch(net, cut, site, cell.as_deref(), cache, b, scratch),
+        )
+        .into_iter()
+        .sum();
+        correct as f64 / n as f64
+    }
+
+    /// Correct-classification count of batch `b`, resuming at `site` from
+    /// `cell`'s activation, or computing it (and offering it to `cell`).
+    #[allow(clippy::too_many_arguments)]
+    fn site_correct_in_batch(
+        &self,
+        net: &Sequential,
+        cut: usize,
+        site: usize,
+        cell: Option<&CutCell>,
+        cache: &PrefixCache,
+        b: usize,
+        scratch: &mut Scratch,
+    ) -> usize {
+        let (start, end, plan) = self.batch_plan(net, b);
+        let at_site = match cell.and_then(|c| c.acts[b].get()) {
+            Some(act) => act.clone(),
+            None => {
+                let span = Span::range(cut, site);
+                let act = Arc::new(self.run_from_cut(net, &plan, cut, span, b, start, end, cache, scratch));
+                if let Some(cell) = cell {
+                    cache.insert_cut(cell, b, &act);
+                }
+                act
+            }
         };
-        let correct = logits
-            .argmax_rows()
-            .iter()
-            .zip(&self.labels[start..end])
-            .filter(|(p, l)| p == l)
-            .count();
-        scratch.recycle(logits.into_vec());
-        correct
+        let logits = plan.execute(net, &at_site, Span::suffix(site), scratch);
+        self.count_correct(logits, start, end, scratch)
     }
 
     /// The clean activation entering layer `cut` for the batch covering
@@ -297,10 +377,60 @@ impl EvalSet {
 struct PrefixCacheState {
     /// `(batch_index, cut) →` clean activation entering layer `cut`.
     entries: BTreeMap<(usize, usize), Arc<Tensor>>,
+    /// [`CutKey::hash`] `→` the cut-cache cells with that hash.
+    cuts: HashMap<u64, Vec<Arc<CutCell>>>,
     bytes_held: usize,
     hits: u64,
     misses: u64,
     rejected: u64,
+    cut_hits: u64,
+    cut_misses: u64,
+}
+
+/// The key of a cut-cache cell: a cut and the exact bits of every
+/// parameter in layers `[cut, site)`. Two fault sets that differ in one
+/// bit of those layers never share a cell.
+#[derive(Debug, PartialEq, Eq)]
+struct CutKey {
+    cut: usize,
+    bits: Vec<u32>,
+}
+
+impl CutKey {
+    /// The key of `net`'s layers `[cut, site)`.
+    fn of(net: &Sequential, cut: usize, site: usize) -> Self {
+        let mut bits = Vec::new();
+        for layer in &net.layers()[cut..site] {
+            layer.visit_params(&mut |_, values, _| bits.extend(values.data().iter().map(|v| v.to_bits())));
+        }
+        CutKey { cut, bits }
+    }
+
+    /// The lookup hash; a hit still compares the bits exactly.
+    fn hash(&self) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        self.cut.hash(&mut hasher);
+        self.bits.hash(&mut hasher);
+        hasher.finish()
+    }
+}
+
+/// One cut-cache cell: the activations entering the resumed site for one
+/// state of layers `[cut, site)`, one slot per evaluation batch. Slots are
+/// filled under the [`PrefixCache`] lock, so the byte count stays exact.
+#[derive(Debug)]
+struct CutCell {
+    hash: u64,
+    key: CutKey,
+    acts: Vec<OnceLock<Arc<Tensor>>>,
+}
+
+impl CutCell {
+    /// Bytes the cell holds: its key plus every filled slot.
+    fn bytes(&self) -> usize {
+        let acts: usize = self.acts.iter().filter_map(OnceLock::get).map(|a| a.len()).sum();
+        (self.key.bits.len() + acts) * std::mem::size_of::<f32>()
+    }
 }
 
 /// Observable counters of a [`PrefixCache`] (one consistent snapshot).
@@ -313,10 +443,16 @@ pub struct PrefixCacheStats {
     /// Insertions refused because the byte budget was exhausted (each one
     /// is a transparent fall-back to recomputing that prefix next time).
     pub rejected: u64,
-    /// Bytes currently held by memoized activations.
+    /// Bytes currently held by memoized activations, cut-cache cells
+    /// included.
     pub bytes_held: usize,
-    /// Number of memoized `(batch, cut)` activations.
+    /// Number of memoized `(batch, cut)` prefix activations.
     pub entries: usize,
+    /// Measurements resumed at a site from an existing cut-cache cell.
+    pub cut_hits: u64,
+    /// Measurements whose state of the layers feeding the site was new:
+    /// they computed the activation entering the site.
+    pub cut_misses: u64,
 }
 
 impl PrefixCacheStats {
@@ -360,11 +496,18 @@ fn budget_from_mb(mb: Option<&str>, default_bytes: usize) -> usize {
 /// clean prefix), never shared between e.g. a protected and an unprotected
 /// twin.
 ///
+/// The same cache holds the **cut cache** of an evaluator resumed at a
+/// clipping site (see [`crate::SiteEvaluator`]): per evaluation batch, the
+/// activation entering the site, keyed by the cut and the exact bits of
+/// every parameter in layers `[cut, site)`. Its entries stay valid while
+/// the layers below the cut are clean and nothing but parameters changes
+/// in `[cut, site)`; faults there change the key, so they can only miss.
+///
 /// When an insertion would exceed the byte budget it is simply refused and
 /// the caller keeps its freshly computed activation for the current cell —
 /// a budget of `0` degrades to recomputing every prefix (still
-/// bit-identical, just slower). Set `FTCLIP_PREFIX_CACHE_MB` to override
-/// the default budget.
+/// bit-identical, just slower). Prefix and cut entries share the one
+/// budget. Set `FTCLIP_PREFIX_CACHE_MB` to override the default budget.
 #[derive(Debug, Default)]
 pub struct PrefixCache {
     budget_bytes: usize,
@@ -399,6 +542,8 @@ impl PrefixCache {
             rejected: s.rejected,
             bytes_held: s.bytes_held,
             entries: s.entries.len(),
+            cut_hits: s.cut_hits,
+            cut_misses: s.cut_misses,
         }
     }
 
@@ -450,6 +595,64 @@ impl PrefixCache {
         s.bytes_held += bytes;
         s.entries.insert((batch, cut), act.clone());
     }
+
+    /// The cut-cache cell for `key` over `batches` evaluation batches: the
+    /// memoized one (a hit), or a new, empty one (a miss). `None` when the
+    /// byte budget refuses even the key: that measurement computes every
+    /// batch without caching.
+    fn cut_cell(&self, key: CutKey, batches: usize) -> Option<Arc<CutCell>> {
+        let hash = key.hash();
+        let mut guard = self.state.lock().expect("prefix cache lock");
+        let s = &mut *guard;
+        if let Some(bucket) = s.cuts.get_mut(&hash) {
+            if let Some(pos) = bucket.iter().position(|c| c.key == key) {
+                // chaos drill: evict the cell we were about to serve — this
+                // measurement recomputes it from the clean prefix
+                if !ftclip_tensor::failpoint::fires("core.prefix_evict") {
+                    s.cut_hits += 1;
+                    return Some(bucket[pos].clone());
+                }
+                let evicted = bucket.swap_remove(pos);
+                s.bytes_held = s.bytes_held.saturating_sub(evicted.bytes());
+            }
+        }
+        s.cut_misses += 1;
+        let bytes = key.bits.len() * std::mem::size_of::<f32>();
+        if s.bytes_held + bytes > self.budget_bytes || ftclip_tensor::failpoint::fires("core.prefix_insert") {
+            s.rejected += 1;
+            return None;
+        }
+        s.bytes_held += bytes;
+        let cell = Arc::new(CutCell {
+            hash,
+            key,
+            acts: (0..batches).map(|_| OnceLock::new()).collect(),
+        });
+        s.cuts.entry(hash).or_default().push(cell.clone());
+        Some(cell)
+    }
+
+    /// Offers batch `batch`'s activation entering the site to `cell`,
+    /// within the byte budget (a refusal bumps `rejected`). A slot keeps its
+    /// first value, and a cell evicted meanwhile takes nothing.
+    fn insert_cut(&self, cell: &CutCell, batch: usize, act: &Arc<Tensor>) {
+        let bytes = act.len() * std::mem::size_of::<f32>();
+        let mut s = self.state.lock().expect("prefix cache lock");
+        let live = s
+            .cuts
+            .get(&cell.hash)
+            .is_some_and(|b| b.iter().any(|c| std::ptr::eq(&**c, cell)));
+        if !live || cell.acts[batch].get().is_some() {
+            return;
+        }
+        if s.bytes_held + bytes > self.budget_bytes || ftclip_tensor::failpoint::fires("core.prefix_insert") {
+            s.rejected += 1;
+            return;
+        }
+        s.bytes_held += bytes;
+        // cannot fail: slots are only filled under this lock
+        let _ = cell.acts[batch].set(act.clone());
+    }
 }
 
 /// The hint-aware campaign evaluator: scores an [`EvalSet`] through
@@ -476,20 +679,33 @@ impl PrefixCache {
 pub struct SuffixAccuracy {
     eval: EvalSet,
     cache: Arc<PrefixCache>,
+    site: Option<usize>,
 }
 
 impl SuffixAccuracy {
     /// An evaluator over `eval` with a fresh environment-budgeted cache.
     pub fn new(eval: EvalSet) -> Self {
         let cache = Arc::new(PrefixCache::from_env(eval.default_prefix_budget()));
-        SuffixAccuracy { eval, cache }
+        SuffixAccuracy { eval, cache, site: None }
     }
 
     /// An evaluator sharing an existing cache (the cache's entries must
     /// hold for the networks this evaluator will score; see
     /// [`PrefixCache`]'s binding contract).
     pub fn with_cache(eval: EvalSet, cache: Arc<PrefixCache>) -> Self {
-        SuffixAccuracy { eval, cache }
+        SuffixAccuracy { eval, cache, site: None }
+    }
+
+    /// This evaluator, resuming every cell that cuts below layer `site` at
+    /// `site`: the activation entering `site` is computed once per state of
+    /// the layers `[cut, site)` and served from the cut cache after that
+    /// (see [`PrefixCache`]). Bit-identical to the plain evaluator.
+    ///
+    /// Valid while, between the evaluations it serves, only parameters of
+    /// layers from the cut onwards and anything from `site` onwards change
+    /// — the one-site threshold search [`crate::SiteEvaluator`] runs.
+    pub(crate) fn at_site(self, site: usize) -> Self {
+        SuffixAccuracy { site: Some(site), ..self }
     }
 
     /// The underlying prefix cache (for stats reporting and sharing).
@@ -505,6 +721,11 @@ impl SuffixAccuracy {
 
 impl CellEval for SuffixAccuracy {
     fn eval_cell(&self, net: &Sequential, hint: SuffixHint) -> f64 {
+        if let (Some(cut), Some(site)) = (hint.cut, self.site) {
+            if cut < site && site <= net.len() {
+                return self.eval.accuracy_from_site(net, cut, site, &self.cache);
+            }
+        }
         match hint.cut {
             Some(cut) if cut > 0 && cut <= net.len() => self.eval.accuracy_suffix(net, cut, &self.cache),
             _ => self.eval.accuracy(net),
@@ -684,6 +905,48 @@ mod tests {
         });
         let reference = eval.accuracy(&faulted).to_bits();
         assert_eq!(sx.eval_cell(&faulted, SuffixHint::at(5)).to_bits(), reference);
+    }
+
+    #[test]
+    fn site_resumed_accuracy_matches_full_at_every_cut_site_and_thread_count() {
+        use ftclip_fault::{CellEval, SuffixHint};
+        let d = data();
+        let eval = EvalSet::from_dataset(d.test(), 8); // 32 images → 4 batches
+        let net = conv_net();
+        let full = eval.accuracy(&net).to_bits();
+        for threads in [1usize, 2, 4] {
+            for site in 1..=net.len() {
+                let sx = eval.suffix_eval_with_budget(64 << 20).at_site(site);
+                for cut in 0..site {
+                    for pass in ["cold", "warm"] {
+                        let acc = ftclip_tensor::with_thread_limit(threads, || {
+                            sx.eval_cell(&net, SuffixHint::at(cut))
+                        });
+                        assert_eq!(acc.to_bits(), full, "{pass}: cut {cut}, site {site}, {threads} threads");
+                    }
+                }
+                // one cell per cut: computed once, then served
+                let stats = sx.cache().stats();
+                assert_eq!((stats.cut_misses, stats.cut_hits), (site as u64, site as u64), "site {site}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_starved_cut_cache_recomputes_bit_identically() {
+        use ftclip_fault::{CellEval, SuffixHint};
+        let d = data();
+        let eval = EvalSet::from_dataset(d.test(), 8);
+        let net = conv_net();
+        let full = eval.accuracy(&net).to_bits();
+        let sx = eval.suffix_eval_with_budget(0).at_site(4);
+        for _ in 0..2 {
+            assert_eq!(sx.eval_cell(&net, SuffixHint::at(3)).to_bits(), full);
+        }
+        let stats = sx.cache().stats();
+        assert_eq!(stats.bytes_held, 0, "budget 0 must hold nothing");
+        assert_eq!((stats.cut_misses, stats.cut_hits), (2, 0));
+        assert!(stats.rejected >= 2, "every cell key is refused");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 use std::sync::{Mutex, PoisonError};
 
 use ftclip_core::failpoint;
-use ftclip_core::{EvalSet, PrefixCache};
+use ftclip_core::{AucConfig, EvalSet, PrefixCache, ThresholdTuner, TunerConfig};
 use ftclip_data::SynthCifar;
+use ftclip_fault::{FaultModel, InjectionTarget};
 use ftclip_nn::{Layer, Sequential};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -92,4 +93,52 @@ fn plan_cache_bypass_is_bit_identical() {
     }
     failpoint::clear();
     assert_eq!(eval.accuracy(&net).to_bits(), warm);
+}
+
+/// Tunes both clipping sites of `conv_net` with Algorithm 1, each with
+/// faults in the layer feeding it, and returns every result bit: the
+/// thresholds and every boundary AUC of every iteration.
+fn tuning_bits() -> Vec<u64> {
+    let d = data();
+    let eval = EvalSet::from_dataset(d.test(), 8);
+    let mut net = conv_net();
+    net.convert_to_clipped(&[3.0, 3.0]);
+    let mut bits = Vec::new();
+    for (site, feeding, fault_rates) in [(1, 0, vec![1e-3, 1e-2]), (4, 3, vec![1e-5, 1e-4])] {
+        let auc = AucConfig {
+            fault_rates,
+            repetitions: 2,
+            seed: 12,
+            model: FaultModel::BitFlip,
+            target: InjectionTarget::Layer(feeding),
+        };
+        let tuner =
+            ThresholdTuner::new(TunerConfig { max_iterations: 2, min_iterations: 2, delta: 0.0, auc });
+        let outcome = tuner.tune_site(&mut net, site, 3.0, &eval).unwrap();
+        bits.push(u64::from(outcome.threshold.to_bits()));
+        bits.extend(outcome.trace.iter().flat_map(|it| it.aucs).map(f64::to_bits));
+    }
+    bits
+}
+
+/// Evictions and refused inserts in the prefix and cut caches, and a zero
+/// byte budget, leave Algorithm 1 bit-identical to the undisturbed run.
+#[test]
+fn tuning_under_cache_chaos_is_bit_identical() {
+    let _g = guard();
+    let undisturbed = tuning_bits();
+    for schedule in ["core.prefix_insert=delay(0)", "core.prefix_evict=delay(0):0.5;seed=43"] {
+        failpoint::configure(schedule).unwrap();
+        let chaotic = tuning_bits();
+        failpoint::clear();
+        assert_eq!(chaotic, undisturbed, "{schedule}");
+    }
+    let budget = std::env::var_os("FTCLIP_PREFIX_CACHE_MB");
+    std::env::set_var("FTCLIP_PREFIX_CACHE_MB", "0");
+    let starved = tuning_bits();
+    match budget {
+        Some(mb) => std::env::set_var("FTCLIP_PREFIX_CACHE_MB", mb),
+        None => std::env::remove_var("FTCLIP_PREFIX_CACHE_MB"),
+    }
+    assert_eq!(starved, undisturbed, "budget 0");
 }

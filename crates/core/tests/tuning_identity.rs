@@ -1,15 +1,18 @@
-//! Bit-identity guard for the tuning path: the boundary memo and the
-//! per-site prefix cache must leave every result bit exactly where
-//! Algorithm 1 puts it when each boundary is measured by its own campaign
-//! over a fresh evaluator.
+//! Bit-identity guard for the tuning path: the boundary memo, the
+//! per-site prefix cache and the cut cache that resumes each measurement
+//! at the tuned site must leave every result bit exactly where Algorithm 1
+//! puts it when each boundary is measured by its own campaign over a fresh
+//! evaluator.
+
+use std::collections::BTreeSet;
 
 use ftclip_core::{
-    profile_network, AucConfig, EvalSet, IterationTrace, Methodology, ProfileConfig, ThresholdTuner,
-    TuneOutcome, TunerConfig,
+    grid_search_site, profile_network, AucConfig, EvalSet, IterationTrace, Methodology, ProfileConfig,
+    SiteEvaluator, ThresholdTuner, TuneOutcome, TunerConfig,
 };
 use ftclip_data::SynthCifar;
-use ftclip_fault::{Campaign, CampaignConfig, FaultModel, InjectionTarget, NoCache};
-use ftclip_nn::{Layer, Sequential};
+use ftclip_fault::{Campaign, CampaignConfig, CellEval, FaultModel, InjectionTarget, NoCache, SuffixHint};
+use ftclip_nn::{BatchNorm2d, Layer, ParamKind, Sequential};
 
 fn data() -> SynthCifar {
     SynthCifar::builder()
@@ -194,4 +197,151 @@ fn per_layer_clean_pass_matches_the_full_forward() {
     let warm = campaign.run(&net, 2, &NoCache, sx.clone());
     assert_eq!(warm.clean_accuracy.to_bits(), full, "warm cache");
     assert!(sx.cache().stats().hits > hits, "the warm clean pass reads the cache");
+}
+
+/// Conv → BN → ReLU → linear: the site at layer 2 is fed by the conv at 0
+/// through a batch norm, so the cut cache keys and replays two layers.
+fn bn_site_net() -> Sequential {
+    let mut net = Sequential::new(vec![
+        Layer::conv2d(3, 4, 3, 1, 1, 73),
+        Layer::BatchNorm2d(BatchNorm2d::new(4)),
+        Layer::relu(),
+        Layer::flatten(),
+        Layer::linear(4 * 64, 10, 74),
+    ]);
+    // a batch norm that is not the identity
+    net.visit_params_mut(&mut |i, kind, values, _| {
+        if i == 1 {
+            for (c, v) in values.data_mut().iter_mut().enumerate() {
+                *v = match kind {
+                    ParamKind::Weight => 0.5 + 0.25 * c as f32,
+                    ParamKind::Bias => 0.1 * c as f32 - 0.1,
+                };
+            }
+        }
+    });
+    net.convert_to_clipped(&[3.0]);
+    net
+}
+
+/// `two_site_net` with both sites clipped, as `tune_both` tunes it.
+fn clipped_two_site_net() -> Sequential {
+    let mut net = two_site_net();
+    net.convert_to_clipped(&[3.0, 4.0]);
+    net
+}
+
+#[test]
+fn a_site_behind_a_batch_norm_matches_the_oracle() {
+    let eval = EvalSet::from_dataset(data().val(), 16);
+    let cfg = tuner_cfg(InjectionTarget::Layer(0), vec![1e-3, 1e-2]);
+    let mut net = bn_site_net();
+    let mut twin = net.clone();
+    let got = ThresholdTuner::new(cfg.clone()).tune_site(&mut net, 2, 4.0, &eval).unwrap();
+    let want = oracle(&cfg, &mut twin, 2, 4.0, &eval);
+    assert_bitwise_equal("conv → BN → act site", &got, &want);
+    let distinct: BTreeSet<u64> = want.2.iter().flat_map(|it| it.aucs).map(f64::to_bits).collect();
+    assert!(distinct.len() > 1, "the AUC must depend on the threshold for this guard to bite");
+}
+
+#[test]
+fn thresholds_measured_out_of_order_match_fresh_measurements() {
+    let eval = EvalSet::from_dataset(data().val(), 16);
+    let auc = tuner_cfg(InjectionTarget::Layer(3), vec![1e-3, 1e-2]).auc;
+    let mut net = clipped_two_site_net();
+    let evaluators = SiteEvaluator::new(&auc, &eval, 4);
+    let mut distinct = BTreeSet::new();
+    for t in [2.5f32, 0.25, 4.0, 1.0, 2.5, 0.5, 3.0, 0.25] {
+        net.set_clip_threshold(4, t).unwrap();
+        let shared = auc.measure(&mut net, &evaluators.evaluator());
+        let fresh = auc.measure(&mut net, &eval.suffix_eval());
+        assert_eq!(shared.to_bits(), fresh.to_bits(), "T = {t}");
+        distinct.insert(fresh.to_bits());
+    }
+    assert!(distinct.len() > 1, "the AUC must depend on the threshold for this guard to bite");
+    assert!(evaluators.evaluator().cache().stats().cut_hits > 0, "later thresholds resume at the site");
+}
+
+#[test]
+fn grid_search_matches_fresh_measurements() {
+    let eval = EvalSet::from_dataset(data().val(), 16);
+    let cases = [
+        (clipped_two_site_net(), 4, InjectionTarget::Layer(3)),
+        (bn_site_net(), 2, InjectionTarget::Layer(0)),
+    ];
+    for (net, site, target) in cases {
+        let auc = tuner_cfg(target, vec![1e-3, 1e-2]).auc;
+        let (points, act_max) = (6, 4.0f32);
+        let mut tuned = net.clone();
+        let got = grid_search_site(&mut tuned, site, act_max, points, &auc, &eval).unwrap();
+        // the oracle: every grid point measured over a fresh evaluator
+        let mut twin = net;
+        let mut best = (act_max, f64::NEG_INFINITY);
+        for k in 1..=points {
+            let t = act_max * k as f32 / points as f32;
+            twin.set_clip_threshold(site, t).unwrap();
+            let score = auc.measure(&mut twin, &eval.suffix_eval());
+            if score > best.1 {
+                best = (t, score);
+            }
+        }
+        assert_eq!(got.threshold.to_bits(), best.0.to_bits(), "site {site}: threshold");
+        assert_eq!(got.auc.to_bits(), best.1.to_bits(), "site {site}: AUC");
+    }
+}
+
+#[test]
+fn fault_sets_one_bias_bit_apart_never_share_a_cut_entry() {
+    let eval = EvalSet::from_dataset(data().val(), 16);
+    let auc = tuner_cfg(InjectionTarget::Layer(3), vec![1e-3, 1e-2]).auc;
+    let sx = SiteEvaluator::new(&auc, &eval, 4).evaluator();
+    // FC-1 (layer 3) with bit `bit` of bias `unit` flipped
+    let flipped = |net: &Sequential, unit: usize, bit: u32| {
+        let mut net = net.clone();
+        net.visit_params_mut(&mut |i, kind, values, _| {
+            if i == 3 && kind == ParamKind::Bias {
+                let v = &mut values.data_mut()[unit];
+                *v = f32::from_bits(v.to_bits() ^ (1 << bit));
+            }
+        });
+        net
+    };
+    let base = flipped(&clipped_two_site_net(), 5, 29);
+    let other = flipped(&base, 0, 30);
+    let (a, b) = (eval.accuracy(&base), eval.accuracy(&other));
+    assert_ne!(a.to_bits(), b.to_bits(), "the bias bit must change the accuracy for this guard to bite");
+    assert_eq!(sx.eval_cell(&base, SuffixHint::at(3)).to_bits(), a.to_bits());
+    assert_eq!(
+        sx.eval_cell(&other, SuffixHint::at(3)).to_bits(),
+        b.to_bits(),
+        "served the other fault set"
+    );
+    assert_eq!(sx.eval_cell(&base, SuffixHint::at(3)).to_bits(), a.to_bits());
+    let stats = sx.cache().stats();
+    assert_eq!((stats.cut_misses, stats.cut_hits), (2, 1));
+}
+
+#[test]
+fn the_cut_cache_computes_each_faulted_cell_once_plus_the_clean_pass() {
+    let eval = EvalSet::from_dataset(data().val(), 16);
+    let auc = tuner_cfg(InjectionTarget::Layer(3), vec![1e-5, 1e-3, 1e-2]).auc;
+    let mut net = clipped_two_site_net();
+    let faulted = auc
+        .run_campaign(&mut net, &eval.suffix_eval())
+        .runs
+        .iter()
+        .filter(|r| r.fault_count > 0)
+        .count();
+    assert!(faulted > 0, "the campaign must fault some cells");
+    let evaluators = SiteEvaluator::new(&auc, &eval, 4);
+    let thresholds = [1.0f32, 2.0, 3.0, 4.0];
+    for t in thresholds {
+        net.set_clip_threshold(4, t).unwrap();
+        auc.measure(&mut net, &evaluators.evaluator());
+    }
+    // every campaign evaluates the clean pass and each faulted cell once
+    let per_campaign = faulted as u64 + 1;
+    let stats = evaluators.evaluator().cache().stats();
+    assert_eq!(stats.cut_misses, per_campaign, "one miss per faulted cell, plus the clean pass");
+    assert_eq!(stats.cut_hits, (thresholds.len() as u64 - 1) * per_campaign);
 }

@@ -27,6 +27,12 @@
 //!   plan runs;
 //! * **elides** inference no-ops (`Dropout`) and turns `Flatten` into a
 //!   zero-copy reshape when the executor owns the buffer;
+//! * **splits fused nodes at span bounds**: a span that ends inside a
+//!   fused node (profiling's `Span::range(at, site)`, the tuner's cut at a
+//!   clipping site) runs the node's head through the same fused kernel,
+//!   leaving out the activation or pool beyond the span; a span that starts
+//!   inside one runs the covered activation and pool through their own
+//!   kernels;
 //! * **plans buffer liveness**: at execution, each node's consumed input is
 //!   recycled into the [`Scratch`] arena the moment its output exists, so
 //!   the arena's high-water mark is the largest adjacent (input + output +
@@ -173,6 +179,20 @@ impl PlanNode {
             }
         }
     }
+
+    /// The node without its fused layers at or beyond layer `to`: what a
+    /// span ending at `to` executes of it. A convolution cut at its
+    /// activation keeps neither the activation nor the pool behind it.
+    fn head(self, to: usize) -> PlanNode {
+        let before = |l: Option<usize>| l.filter(|&l| l < to);
+        match self {
+            PlanNode::ConvAct { conv, act, pool } => {
+                PlanNode::ConvAct { conv, act: before(act), pool: before(pool) }
+            }
+            PlanNode::LinearAct { lin, act } => PlanNode::LinearAct { lin, act: before(act) },
+            other => other,
+        }
+    }
 }
 
 /// A compiled, shape-checked, fused forward plan over a [`Sequential`].
@@ -282,9 +302,13 @@ impl ForwardPlan {
     /// `Span::range(a, b)` — all against the same plan, all bit-identical to
     /// the legacy per-layer loop. An empty span returns `x` unchanged.
     ///
-    /// A span boundary that cuts through a fused node falls back to
-    /// executing that node's covered layers individually (bit-identical by
-    /// the fusion contract).
+    /// A span that ends inside a fused node runs the node's head (the node
+    /// without its fused layers beyond the span) through the fused kernel:
+    /// a conv cut at its activation is still gathered per image, without
+    /// the batch-wide column matrix of the per-layer conv kernel. A span
+    /// that starts inside a fused node runs the covered tail (activation,
+    /// pool) through the layers' own kernels. Both are bit-identical by the
+    /// fusion contract.
     ///
     /// # Panics
     ///
@@ -318,32 +342,33 @@ impl ForwardPlan {
             if r.start >= to {
                 break;
             }
-            let whole = from <= r.start && r.end <= to;
-            if whole {
-                match *node {
-                    PlanNode::Elided { .. } => {} // inference identity: skip
-                    PlanNode::Reshape { .. } => {
-                        let src = cur.take();
-                        cur = Some(reshape_flat(src, x, scratch));
-                    }
-                    PlanNode::ConvAct { conv, act, pool } => {
-                        let y = exec_conv(layers, conv, act, pool, cur.as_ref().unwrap_or(x), scratch);
-                        recycle_into(&mut cur, y, scratch);
-                    }
-                    PlanNode::LinearAct { lin, act } => {
-                        let y = exec_linear(layers, lin, act, cur.as_ref().unwrap_or(x), scratch);
-                        recycle_into(&mut cur, y, scratch);
-                    }
-                    PlanNode::Opaque { layer } => {
-                        let y = layers[layer].forward_scratch(cur.as_ref().unwrap_or(x), scratch);
-                        recycle_into(&mut cur, y, scratch);
-                    }
-                }
-            } else {
-                // span boundary inside a fused node: run the covered layers
-                // through their legacy kernels (bit-identical by contract)
-                for li in r.start.max(from)..r.end.min(to) {
+            if r.start < from {
+                // span starts inside a fused node: its covered tail (an
+                // activation, a pool) runs through the layers' own kernels
+                for li in from..r.end.min(to) {
                     let y = layers[li].forward_scratch(cur.as_ref().unwrap_or(x), scratch);
+                    recycle_into(&mut cur, y, scratch);
+                }
+                continue;
+            }
+            // a span ending inside a fused node runs the node's covered head
+            // through the same fused kernel, minus the parts beyond the span
+            match node.head(to) {
+                PlanNode::Elided { .. } => {} // inference identity: skip
+                PlanNode::Reshape { .. } => {
+                    let src = cur.take();
+                    cur = Some(reshape_flat(src, x, scratch));
+                }
+                PlanNode::ConvAct { conv, act, pool } => {
+                    let y = exec_conv(layers, conv, act, pool, cur.as_ref().unwrap_or(x), scratch);
+                    recycle_into(&mut cur, y, scratch);
+                }
+                PlanNode::LinearAct { lin, act } => {
+                    let y = exec_linear(layers, lin, act, cur.as_ref().unwrap_or(x), scratch);
+                    recycle_into(&mut cur, y, scratch);
+                }
+                PlanNode::Opaque { layer } => {
+                    let y = layers[layer].forward_scratch(cur.as_ref().unwrap_or(x), scratch);
                     recycle_into(&mut cur, y, scratch);
                 }
             }

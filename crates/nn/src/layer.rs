@@ -163,8 +163,9 @@ impl Layer {
     /// Inference forward pass of this one layer, drawing output (and, for
     /// convolutions, im2col) storage from a reusable [`Scratch`] arena. Does
     /// not mutate the layer. The plan runs this for `Opaque` nodes and for
-    /// spans that cut through a fused node; it is also the per-layer
-    /// reference the fused kernels are bit-identical to.
+    /// the activation and pool of a span that starts inside a fused node;
+    /// it is also the per-layer reference the fused kernels are
+    /// bit-identical to.
     ///
     /// # Panics
     ///

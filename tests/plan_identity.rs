@@ -1,13 +1,14 @@
 //! The fused forward plan is bit-identical to the per-layer engine on the
 //! experiment-scale AlexNet, with ReLU and with clipped activations, at
 //! one and two threads — and so is Step 1 profiling, which walks the
-//! activation sites through the plan. The nn property tests pin the same
+//! activation sites through the plan, and so are spans that split a fused
+//! node at its activation, as threshold tuning cuts them. The nn property tests pin the same
 //! contract on small random networks; this check covers the real conv
 //! widths, pooling and linear tail the figures run through.
 
 use ftclipact::core::{profile_network, ActivationHistogram};
 use ftclipact::models::alexnet_cifar;
-use ftclipact::nn::{Scratch, Sequential, Span};
+use ftclipact::nn::{PlanNode, Scratch, Sequential, Span};
 use ftclipact::tensor::{uniform_init, with_thread_limit, Tensor};
 use rand::SeedableRng;
 
@@ -113,5 +114,44 @@ fn alexnet_profile_is_bitwise_identical_to_the_per_layer_engine() {
                 assert_eq!(p.histogram.counts(), hist.counts(), "histogram: {at}");
             }
         }
+    }
+}
+
+#[test]
+fn alexnet_spans_that_split_a_fused_node_match_the_per_layer_engine() {
+    let relu = alexnet_cifar(0.125, 10, 1);
+    let mut clipped = relu.clone();
+    let sites = clipped.activation_sites().len();
+    clipped.convert_to_clipped(&vec![4.0; sites]);
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let x = uniform_init(&[4, 3, 32, 32], -2.0, 2.0, &mut rng);
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    for (label, net) in [("relu", &relu), ("clipped", &clipped)] {
+        // entering[i]: the per-layer activation entering layer i
+        let mut entering = vec![x.clone()];
+        with_thread_limit(1, || per_layer(net, &x, |_, out| entering.push(out.clone())));
+        let output = bits(entering.last().expect("the network output"));
+        let plan = net.plan(x.shape().dims());
+        let mut split = 0;
+        for node in plan.node_descs() {
+            let (head, act) = match node {
+                PlanNode::ConvAct { conv, act: Some(act), .. } => (conv, act),
+                PlanNode::LinearAct { lin, act: Some(act) } => (lin, act),
+                _ => continue,
+            };
+            for threads in [1, 2, 4] {
+                let at = format!("{label}, node at layer {head}, {threads} threads");
+                let run = |input: &Tensor, span: Span| {
+                    with_thread_limit(threads, || plan.execute(net, input, span, &mut Scratch::new()))
+                };
+                let y = run(&entering[head], Span::range(head, head + 1));
+                assert!(bits(&y) == bits(&entering[head + 1]), "head span differs: {at}");
+                let y = run(&entering[act], Span::suffix(act));
+                assert!(bits(&y) == output, "suffix from the activation differs: {at}");
+            }
+            split += 1;
+        }
+        assert_eq!(split, sites, "{label}: every activation site is fused into a node");
     }
 }

@@ -6,8 +6,7 @@
 //! (see the presets for the exact values each figure publishes).
 
 use ftclip_core::{
-    auc_normalized, campaign_auc, improvement_percent, ResultTable, SiteEvaluator, SiteProfile,
-    ThresholdTuner, TunerConfig,
+    auc_normalized, improvement_percent, ResultTable, SiteEvaluator, SiteProfile, ThresholdTuner, TunerConfig,
 };
 use ftclip_data::Dataset;
 use ftclip_fault::{BitPosition, Campaign, CampaignResult, FaultModel, Injection, InjectionTarget};
@@ -635,7 +634,7 @@ pub fn auc_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
 
     // blue curve: every site clipped at its profiled ACT_max, the target's
     // threshold swept
-    let (mut net, target_layer, profile) = clipped_with_target(ctx, &workload, &layer_name)?;
+    let (net, target_layer, profile) = clipped_with_target(ctx, &workload, &layer_name)?;
     let (act_max, target_site) = (profile.act_max, profile.site);
 
     // AUC measurement campaign: faults in the target layer only (Fig. 5a)
@@ -644,19 +643,18 @@ pub fn auc_sweep(ctx: &mut RunContext) -> Result<(), SpecError> {
     auc_cfg.target = InjectionTarget::Layer(target_layer);
 
     // red line: unbounded activations
-    let unbounded_auc = auc_cfg.measure(&mut workload.model.network.clone(), &eval.suffix_eval());
+    let unbounded_auc = auc_cfg.measure(&workload.model.network, &eval.suffix_eval());
 
     let sweep_points = 13usize;
-    let evaluators = SiteEvaluator::new(&auc_cfg, &eval, target_site);
+    let thresholds: Vec<f32> = (1..=sweep_points).map(|k| act_max * k as f32 / sweep_points as f32).collect();
+    let aucs = SiteEvaluator::new(&auc_cfg, &eval, target_site)
+        .aucs(&net, &thresholds)
+        .expect("site is clipped");
     let mut table = ResultTable::new(&ctx.spec.name, &["threshold", "auc"]);
     outln!(ctx, "Fig. 5b — AUC vs clipping threshold T ({layer_name}, ACT_max = {act_max:.4})\n");
     outln!(ctx, "{:>12} {:>10}", "T", "AUC");
     let mut best = (0.0f32, f64::NEG_INFINITY);
-    for k in 1..=sweep_points {
-        let t = act_max * k as f32 / sweep_points as f32;
-        net.set_clip_threshold(target_site, t).expect("site is clipped");
-        let result = auc_cfg.run_campaign(&mut net, &evaluators.evaluator());
-        let auc = campaign_auc(&result);
+    for (&t, auc) in thresholds.iter().zip(aucs) {
         outln!(ctx, "{t:>12.4} {auc:>10.4}");
         table.row([t.into(), auc.into()]);
         if auc > best.1 {

@@ -5,9 +5,15 @@
 //! rule, normalizing both axes so a network that held 100 % accuracy at
 //! every considered rate scores exactly 1.
 
-use ftclip_fault::{Campaign, CampaignConfig, CampaignResult, FaultModel, InjectionTarget, NoCache};
-use ftclip_nn::Sequential;
+use std::sync::{Arc, OnceLock};
 
+use ftclip_fault::{
+    current_observer, with_observer, Campaign, CampaignConfig, CampaignObserver, CampaignResult, FaultModel,
+    InjectionTarget, NoCache,
+};
+use ftclip_nn::{NnError, Sequential};
+
+use crate::evalset::CutFill;
 use crate::{EvalSet, SuffixAccuracy};
 
 /// Area under the accuracy-vs-normalized-fault-rate curve.
@@ -94,10 +100,9 @@ impl Default for AucConfig {
 impl AucConfig {
     /// Measures the AUC of `net` by running the configured campaign through
     /// `eval` and integrating the resulting curve (with the clean point
-    /// prepended).
-    ///
-    /// The network is restored to its pre-campaign state before returning.
-    pub fn measure(&self, net: &mut Sequential, eval: &SuffixAccuracy) -> f64 {
+    /// prepended). The network is only read: each campaign worker corrupts
+    /// its own clone.
+    pub fn measure(&self, net: &Sequential, eval: &SuffixAccuracy) -> f64 {
         campaign_auc(&self.run_campaign(net, eval))
     }
 
@@ -117,21 +122,33 @@ impl AucConfig {
     /// as [`PrefixCache`](crate::PrefixCache)'s binding contract holds
     /// between them: the layers below every cut the campaign uses must not
     /// change. [`SiteEvaluator`] applies that rule for threshold tuning.
-    pub fn run_campaign(&self, net: &mut Sequential, eval: &SuffixAccuracy) -> CampaignResult {
-        let cfg = CampaignConfig {
+    pub fn run_campaign(&self, net: &Sequential, eval: &SuffixAccuracy) -> CampaignResult {
+        self.campaign().run(net, ftclip_tensor::num_threads(), &NoCache, eval.clone())
+    }
+
+    fn campaign(&self) -> Campaign {
+        Campaign::new(CampaignConfig {
             fault_rates: self.fault_rates.clone(),
             repetitions: self.repetitions,
             seed: self.seed,
             model: self.model,
             target: self.target,
             stopping: None,
-        };
-        Campaign::new(cfg).run(net, ftclip_tensor::num_threads(), &NoCache, eval.clone())
+        })
     }
 }
 
-/// Hands out the evaluator for each AUC measurement taken while only the
-/// threshold of one clipping site changes between measurements.
+/// Passes on only the cancellation polls of the observer it wraps.
+struct CancelOnly(Arc<dyn CampaignObserver>);
+
+impl CampaignObserver for CancelOnly {
+    fn cancel_requested(&self) -> bool {
+        self.0.cancel_requested()
+    }
+}
+
+/// Measures `auc`'s campaign at thresholds of one clipping site, and hands
+/// out the evaluator each measurement uses.
 ///
 /// A `Layer(l)` target with `l < site` cuts every cell, and the clean pass,
 /// at `l`. So every cached prefix activation enters a layer `≤ l` and was
@@ -144,14 +161,26 @@ impl AucConfig {
 /// depend on the threshold, so every threshold sees the same fault sets in
 /// `l`, and the same activation entering the site: it is computed once per
 /// (cell, site) and once for the clean pass, and each measurement runs
-/// only the layers from the site onwards.
+/// only the layers from the site onwards. Measurements that run at the
+/// same time share that cut cache slot by slot: one computes a slot, the
+/// others wait for it.
+///
+/// Such measurements walk the same cells in the same order, so the one in
+/// front would compute every slot, all in its own worker's allocator
+/// arena. Before the first concurrent measurement, a fill pass therefore
+/// computes every cell's activation entering the site once, with the cells
+/// spread over the workers as one campaign spreads them, which keeps peak
+/// memory close to that of measuring the thresholds one by one.
 ///
 /// Any other target may cut at or beyond the site (a whole-network cell
 /// cuts at its earliest fault), so each measurement gets a fresh evaluator.
 #[derive(Debug, Clone)]
 pub struct SiteEvaluator {
+    auc: AucConfig,
+    site: usize,
     eval: EvalSet,
     shared: Option<SuffixAccuracy>,
+    filled: OnceLock<()>,
 }
 
 impl SiteEvaluator {
@@ -160,13 +189,80 @@ impl SiteEvaluator {
     pub fn new(auc: &AucConfig, eval: &EvalSet, site: usize) -> Self {
         let shared = matches!(auc.target, InjectionTarget::Layer(l) if l < site)
             .then(|| eval.suffix_eval().at_site(site));
-        SiteEvaluator { eval: eval.clone(), shared }
+        SiteEvaluator {
+            auc: auc.clone(),
+            site,
+            eval: eval.clone(),
+            shared,
+            filled: OnceLock::new(),
+        }
     }
 
     /// The evaluator for the next measurement: the site's shared one, or a
     /// fresh one.
     pub fn evaluator(&self) -> SuffixAccuracy {
         self.shared.clone().unwrap_or_else(|| self.eval.suffix_eval())
+    }
+
+    /// The AUC of `net` with the site's threshold set to each of
+    /// `thresholds`, in order; `net` itself is not changed.
+    ///
+    /// The measurements are independent, so they go through one
+    /// [`ftclip_tensor::fan_out`] over [`ftclip_tensor::num_threads`]: each
+    /// worker sets the threshold on its own clone of `net` and runs
+    /// [`AucConfig::measure`] under its share of the budget, which the
+    /// campaign splits further over its cells. The calling thread's
+    /// campaign observer is installed in every worker, so cells are still
+    /// reported and cancellation still unwinds at the next cell boundary.
+    /// The fill pass (see above) reports no cells, but is polled for
+    /// cancellation too. Every AUC is bit-identical to a measurement made
+    /// alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError`] if the site is not a clipped activation layer or
+    /// a threshold is not positive and finite.
+    pub fn aucs(&self, net: &Sequential, thresholds: &[f32]) -> Result<Vec<f64>, NnError> {
+        let threads = ftclip_tensor::num_threads();
+        let observer = current_observer();
+        if threads.min(thresholds.len()) > 1 {
+            self.fill_cut_cache(net, threads, observer.as_ref());
+        }
+        ftclip_tensor::fan_out(
+            threads,
+            thresholds.len(),
+            || net.clone(),
+            |local, i| {
+                local.set_clip_threshold(self.site, thresholds[i])?;
+                let measure = || self.auc.measure(local, &self.evaluator());
+                Ok(match &observer {
+                    Some(obs) => with_observer(obs.clone(), measure),
+                    None => measure(),
+                })
+            },
+        )
+        .into_iter()
+        .collect()
+    }
+
+    /// The fill pass, once per site: one campaign over `net` at `threads`
+    /// whose evaluator only fills the shared cut cache (which does not
+    /// depend on the site's threshold). It is not a measurement, so
+    /// `observer` hears none of its cells, but a cancel still unwinds it
+    /// at a cell boundary.
+    fn fill_cut_cache(&self, net: &Sequential, threads: usize, observer: Option<&Arc<dyn CampaignObserver>>) {
+        let Some(shared) = &self.shared else {
+            return;
+        };
+        self.filled.get_or_init(|| {
+            let fill = || {
+                self.auc.campaign().run(net, threads, &NoCache, CutFill(shared.clone()));
+            };
+            match observer {
+                Some(obs) => with_observer(Arc::new(CancelOnly(obs.clone())), fill),
+                None => fill(),
+            }
+        });
     }
 }
 
@@ -240,29 +336,18 @@ mod tests {
     }
 
     #[test]
-    fn measure_runs_and_restores_network() {
+    fn measure_scores_within_the_unit_range() {
         use ftclip_data::SynthCifar;
         use ftclip_nn::Layer;
         let data = SynthCifar::builder().seed(4).train_size(16).val_size(16).test_size(16).build();
         let eval = EvalSet::from_dataset(data.test(), 8);
-        let mut net = Sequential::new(vec![Layer::flatten(), Layer::linear(3 * 32 * 32, 10, 2)]);
-        let before: Vec<f32> = {
-            let mut v = Vec::new();
-            net.visit_params(&mut |_, _, t, _| v.extend_from_slice(t.data()));
-            v
-        };
+        let net = Sequential::new(vec![Layer::flatten(), Layer::linear(3 * 32 * 32, 10, 2)]);
         let cfg = AucConfig {
             fault_rates: vec![1e-5, 1e-4],
             repetitions: 2,
             ..AucConfig::default()
         };
-        let auc = cfg.measure(&mut net, &eval.suffix_eval());
+        let auc = cfg.measure(&net, &eval.suffix_eval());
         assert!((0.0..=1.0).contains(&auc));
-        let after: Vec<f32> = {
-            let mut v = Vec::new();
-            net.visit_params(&mut |_, _, t, _| v.extend_from_slice(t.data()));
-            v
-        };
-        assert_eq!(before, after);
     }
 }

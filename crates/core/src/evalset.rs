@@ -6,7 +6,8 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use ftclip_data::Dataset;
 use ftclip_fault::{CellEval, SuffixHint};
@@ -269,19 +270,54 @@ impl EvalSet {
         scratch: &mut Scratch,
     ) -> usize {
         let (start, end, plan) = self.batch_plan(net, b);
-        let at_site = match cell.and_then(|c| c.acts[b].get()) {
-            Some(act) => act.clone(),
-            None => {
+        let at_site = self.site_activation(net, &plan, cut, site, cell, cache, b, scratch);
+        let logits = plan.execute(net, &at_site, Span::suffix(site), scratch);
+        self.count_correct(logits, start, end, scratch)
+    }
+
+    /// Fills `cache`'s cut cache with `net`'s activation entering `site` for
+    /// every batch (layers before `cut` clean, `cut < site`), running
+    /// nothing from the site onwards. A key the budget refuses fills nothing.
+    fn fill_site(&self, net: &Sequential, cut: usize, site: usize, cache: &PrefixCache) {
+        let batches = self.labels.len().div_ceil(self.batch_size);
+        let Some(cell) = cache.cut_cell(CutKey::of(net, cut, site), batches) else {
+            return;
+        };
+        ftclip_tensor::fan_out(ftclip_tensor::num_threads().max(1), batches, Scratch::new, |scratch, b| {
+            let (_, _, plan) = self.batch_plan(net, b);
+            self.site_activation(net, &plan, cut, site, Some(&cell), cache, b, scratch);
+        });
+    }
+
+    /// Batch `b`'s activation entering `site`: `cell`'s, or computed from
+    /// the clean prefix at `cut` and offered to `cell`.
+    #[allow(clippy::too_many_arguments)]
+    fn site_activation(
+        &self,
+        net: &Sequential,
+        plan: &ForwardPlan,
+        cut: usize,
+        site: usize,
+        cell: Option<&CutCell>,
+        cache: &PrefixCache,
+        b: usize,
+        scratch: &mut Scratch,
+    ) -> Arc<Tensor> {
+        match cache.cut_slot(cell, b) {
+            SlotTurn::Ready(act) => act,
+            SlotTurn::Compute(claim) => {
+                let start = b * self.batch_size;
+                let end = (start + self.batch_size).min(self.labels.len());
                 let span = Span::range(cut, site);
-                let act = Arc::new(self.run_from_cut(net, &plan, cut, span, b, start, end, cache, scratch));
+                let act = Arc::new(self.run_from_cut(net, plan, cut, span, b, start, end, cache, scratch));
                 if let Some(cell) = cell {
                     cache.insert_cut(cell, b, &act);
                 }
+                // ends the fill: the measurements waiting for this slot wake
+                drop(claim);
                 act
             }
-        };
-        let logits = plan.execute(net, &at_site, Span::suffix(site), scratch);
-        self.count_correct(logits, start, end, scratch)
+        }
     }
 
     /// The clean activation entering layer `cut` for the batch covering
@@ -385,6 +421,7 @@ struct PrefixCacheState {
     rejected: u64,
     cut_hits: u64,
     cut_misses: u64,
+    cut_computes: u64,
 }
 
 /// The key of a cut-cache cell: a cut and the exact bits of every
@@ -422,14 +459,62 @@ impl CutKey {
 struct CutCell {
     hash: u64,
     key: CutKey,
-    acts: Vec<OnceLock<Arc<Tensor>>>,
+    slots: Vec<CutSlot>,
 }
 
 impl CutCell {
     /// Bytes the cell holds: its key plus every filled slot.
     fn bytes(&self) -> usize {
-        let acts: usize = self.acts.iter().filter_map(OnceLock::get).map(|a| a.len()).sum();
+        let acts: usize = self.slots.iter().filter_map(|s| s.act.get()).map(|a| a.len()).sum();
         (self.key.bits.len() + acts) * std::mem::size_of::<f32>()
+    }
+}
+
+/// A [`CutSlot`] no measurement has claimed yet.
+const SLOT_EMPTY: u8 = 0;
+/// A [`CutSlot`] one measurement is computing; the others wait for it.
+const SLOT_FILLING: u8 = 1;
+/// A [`CutSlot`] whose claimed fill has ended: either its value is set, or
+/// the fill was refused and every later measurement computes the slot
+/// itself, without waiting.
+const SLOT_OPEN: u8 = 2;
+
+/// One batch's activation entering the site. `state` is read and written
+/// only under the [`PrefixCache`] lock (the lock orders it, so `Relaxed`
+/// suffices), and the waiters' condition variable uses that lock.
+#[derive(Debug)]
+struct CutSlot {
+    act: OnceLock<Arc<Tensor>>,
+    state: AtomicU8,
+}
+
+impl CutSlot {
+    fn new() -> Self {
+        CutSlot { act: OnceLock::new(), state: AtomicU8::new(SLOT_EMPTY) }
+    }
+}
+
+/// What a measurement does for one batch of a resumed evaluation.
+enum SlotTurn<'a> {
+    /// Resume from the activation already in the slot.
+    Ready(Arc<Tensor>),
+    /// Compute the activation (and offer it to the cell, if any). A claim
+    /// makes every other measurement of the slot wait until it is dropped.
+    Compute(Option<SlotClaim<'a>>),
+}
+
+/// The exclusive right to fill a [`CutSlot`]. Dropping it, after the
+/// offer or during an unwind, opens the slot and wakes its waiters.
+struct SlotClaim<'a> {
+    cache: &'a PrefixCache,
+    slot: &'a CutSlot,
+}
+
+impl Drop for SlotClaim<'_> {
+    fn drop(&mut self) {
+        let _s = self.cache.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.slot.state.store(SLOT_OPEN, Ordering::Relaxed);
+        self.cache.slot_done.notify_all();
     }
 }
 
@@ -453,6 +538,11 @@ pub struct PrefixCacheStats {
     /// Measurements whose state of the layers feeding the site was new:
     /// they computed the activation entering the site.
     pub cut_misses: u64,
+    /// Activations entering a site that were computed, one
+    /// `Span::range(cut, site)` execution per batch. Without refusals or
+    /// evictions this is `cut_misses` × batches: concurrent measurements
+    /// of one cell compute each slot once.
+    pub cut_computes: u64,
 }
 
 impl PrefixCacheStats {
@@ -502,6 +592,8 @@ fn budget_from_mb(mb: Option<&str>, default_bytes: usize) -> usize {
 /// every parameter in layers `[cut, site)`. Its entries stay valid while
 /// the layers below the cut are clean and nothing but parameters changes
 /// in `[cut, site)`; faults there change the key, so they can only miss.
+/// Concurrent measurements compute each of its slots once: the first to
+/// find a slot empty claims it, and the others wait for its value.
 ///
 /// When an insertion would exceed the byte budget it is simply refused and
 /// the caller keeps its freshly computed activation for the current cell —
@@ -512,12 +604,14 @@ fn budget_from_mb(mb: Option<&str>, default_bytes: usize) -> usize {
 pub struct PrefixCache {
     budget_bytes: usize,
     state: Mutex<PrefixCacheState>,
+    /// Signalled whenever a claimed cut slot's fill ends.
+    slot_done: Condvar,
 }
 
 impl PrefixCache {
     /// A cache bounded by `budget_bytes` of activation storage.
     pub fn new(budget_bytes: usize) -> Self {
-        PrefixCache { budget_bytes, state: Mutex::default() }
+        PrefixCache { budget_bytes, ..PrefixCache::default() }
     }
 
     /// A cache whose budget comes from the `FTCLIP_PREFIX_CACHE_MB`
@@ -544,6 +638,7 @@ impl PrefixCache {
             entries: s.entries.len(),
             cut_hits: s.cut_hits,
             cut_misses: s.cut_misses,
+            cut_computes: s.cut_computes,
         }
     }
 
@@ -626,10 +721,39 @@ impl PrefixCache {
         let cell = Arc::new(CutCell {
             hash,
             key,
-            acts: (0..batches).map(|_| OnceLock::new()).collect(),
+            slots: (0..batches).map(|_| CutSlot::new()).collect(),
         });
         s.cuts.entry(hash).or_default().push(cell.clone());
         Some(cell)
+    }
+
+    /// What the measurement does for batch `batch` of `cell`: resume from
+    /// the slot's value, or compute it. The first measurement to find the
+    /// slot empty claims it, and later ones wait until that fill ends. A
+    /// slot whose fill was refused, and every batch of a missing cell (its
+    /// key was refused), is computed without waiting. Every computation
+    /// counts in `cut_computes`.
+    fn cut_slot<'a>(&'a self, cell: Option<&'a CutCell>, batch: usize) -> SlotTurn<'a> {
+        let slot = cell.map(|c| &c.slots[batch]);
+        if let Some(act) = slot.and_then(|s| s.act.get()) {
+            return SlotTurn::Ready(act.clone());
+        }
+        let mut s = self.state.lock().expect("prefix cache lock");
+        if let Some(slot) = slot {
+            let filling = |_: &mut PrefixCacheState| slot.state.load(Ordering::Relaxed) == SLOT_FILLING;
+            s = self.slot_done.wait_while(s, filling).expect("prefix cache lock");
+            if let Some(act) = slot.act.get() {
+                return SlotTurn::Ready(act.clone());
+            }
+        }
+        s.cut_computes += 1;
+        match slot {
+            Some(slot) if slot.state.load(Ordering::Relaxed) == SLOT_EMPTY => {
+                slot.state.store(SLOT_FILLING, Ordering::Relaxed);
+                SlotTurn::Compute(Some(SlotClaim { cache: self, slot }))
+            }
+            _ => SlotTurn::Compute(None),
+        }
     }
 
     /// Offers batch `batch`'s activation entering the site to `cell`,
@@ -642,7 +766,8 @@ impl PrefixCache {
             .cuts
             .get(&cell.hash)
             .is_some_and(|b| b.iter().any(|c| std::ptr::eq(&**c, cell)));
-        if !live || cell.acts[batch].get().is_some() {
+        let slot = &cell.slots[batch].act;
+        if !live || slot.get().is_some() {
             return;
         }
         if s.bytes_held + bytes > self.budget_bytes || ftclip_tensor::failpoint::fires("core.prefix_insert") {
@@ -651,7 +776,7 @@ impl PrefixCache {
         }
         s.bytes_held += bytes;
         // cannot fail: slots are only filled under this lock
-        let _ = cell.acts[batch].set(act.clone());
+        let _ = slot.set(act.clone());
     }
 }
 
@@ -719,17 +844,40 @@ impl SuffixAccuracy {
     }
 }
 
+impl SuffixAccuracy {
+    /// The `(cut, site)` this evaluator resumes a cell with `hint` at, if
+    /// it resumes it at a site.
+    fn resumed(&self, net: &Sequential, hint: SuffixHint) -> Option<(usize, usize)> {
+        match (hint.cut, self.site) {
+            (Some(cut), Some(site)) if cut < site && site <= net.len() => Some((cut, site)),
+            _ => None,
+        }
+    }
+}
+
 impl CellEval for SuffixAccuracy {
     fn eval_cell(&self, net: &Sequential, hint: SuffixHint) -> f64 {
-        if let (Some(cut), Some(site)) = (hint.cut, self.site) {
-            if cut < site && site <= net.len() {
-                return self.eval.accuracy_from_site(net, cut, site, &self.cache);
-            }
+        if let Some((cut, site)) = self.resumed(net, hint) {
+            return self.eval.accuracy_from_site(net, cut, site, &self.cache);
         }
         match hint.cut {
             Some(cut) if cut > 0 && cut <= net.len() => self.eval.accuracy_suffix(net, cut, &self.cache),
             _ => self.eval.accuracy(net),
         }
+    }
+}
+
+/// A campaign evaluator that only fills a site-resumed [`SuffixAccuracy`]'s
+/// cut cache: each cell's activation entering the site is computed once,
+/// and nothing from the site onwards runs. Its scores mean nothing (0).
+pub(crate) struct CutFill(pub(crate) SuffixAccuracy);
+
+impl CellEval for CutFill {
+    fn eval_cell(&self, net: &Sequential, hint: SuffixHint) -> f64 {
+        if let Some((cut, site)) = self.0.resumed(net, hint) {
+            self.0.eval.fill_site(net, cut, site, &self.0.cache);
+        }
+        0.0
     }
 }
 
@@ -947,6 +1095,39 @@ mod tests {
         assert_eq!(stats.bytes_held, 0, "budget 0 must hold nothing");
         assert_eq!((stats.cut_misses, stats.cut_hits), (2, 0));
         assert!(stats.rejected >= 2, "every cell key is refused");
+    }
+
+    #[test]
+    fn a_claimed_cut_slot_is_waited_for_and_a_refused_one_opens() {
+        let act = Arc::new(Tensor::ones(&[2, 3]));
+        // room for the one-word key and one activation
+        let cache = PrefixCache::new((1 + act.len()) * std::mem::size_of::<f32>());
+        let cell = cache.cut_cell(CutKey { cut: 0, bits: vec![7] }, 2).expect("the key fits");
+        let SlotTurn::Compute(Some(claim)) = cache.cut_slot(Some(&cell), 0) else {
+            panic!("the first turn claims the slot");
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (shared, shared_cell) = (&cache, &*cell);
+        std::thread::scope(|scope| {
+            scope.spawn(move || tx.send(shared.cut_slot(Some(shared_cell), 0)).unwrap());
+            let early = rx.recv_timeout(std::time::Duration::from_millis(100));
+            assert!(early.is_err(), "a second turn must wait while the slot is claimed");
+            cache.insert_cut(&cell, 0, &act);
+            drop(claim);
+            let SlotTurn::Ready(got) = rx.recv().unwrap() else {
+                panic!("the waiter must read the claimed fill");
+            };
+            assert!(Arc::ptr_eq(&got, &act));
+        });
+        // the second slot does not fit: its fill is refused and the slot opens
+        let SlotTurn::Compute(Some(claim)) = cache.cut_slot(Some(&cell), 1) else {
+            panic!("the first turn claims the slot");
+        };
+        cache.insert_cut(&cell, 1, &act);
+        drop(claim);
+        assert!(matches!(cache.cut_slot(Some(&cell), 1), SlotTurn::Compute(None)), "computed unclaimed");
+        let stats = cache.stats();
+        assert_eq!((stats.rejected, stats.cut_computes), (1, 3));
     }
 
     #[test]

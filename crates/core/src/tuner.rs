@@ -12,7 +12,7 @@
 //! iteration, with the same bits. An AUC measurement is a pure function of
 //! the network state, so the tuner memoises boundary AUCs: `k` iterations
 //! cost `4 + 2(k − 1)` campaigns, against the `4k` evaluations the paper
-//! counts.
+//! counts. The boundaries of one iteration are measured concurrently.
 
 use std::collections::HashMap;
 
@@ -127,10 +127,13 @@ impl ThresholdTuner {
     /// searching `[0, act_max]`. The site's threshold is left set to the
     /// returned value.
     ///
-    /// Boundary AUCs are memoised for the length of the call, and the
-    /// measurements share a prefix cache whenever [`SiteEvaluator`] allows
-    /// it. Both leave every result bit as if each boundary were measured
-    /// from scratch.
+    /// Boundary AUCs are memoised for the length of the call. An
+    /// iteration's boundaries are fixed before any of them is measured, so
+    /// the ones not yet in the memo are measured together, in one
+    /// [`SiteEvaluator::aucs`] call over the thread budget, and share a
+    /// prefix cache whenever [`SiteEvaluator`] allows it. None of this
+    /// changes a result bit: every boundary AUC is the one a campaign over
+    /// a fresh evaluator measures alone.
     ///
     /// # Errors
     ///
@@ -162,21 +165,21 @@ impl ThresholdTuner {
             let (lo, hi) = interval;
             let third = (hi - lo) / 3.0;
             let boundaries = [lo, lo + third, lo + 2.0 * third, hi];
-            let mut aucs = [0.0f64; 4];
-            for (i, &t) in boundaries.iter().enumerate() {
-                // T = 0 means "clip everything"; evaluate it as an
-                // infinitesimal positive threshold.
-                let effective = if t > 0.0 { t } else { act_max * 1e-6 };
-                aucs[i] = match memo.get(&effective.to_bits()) {
-                    Some(&auc) => auc,
-                    None => {
-                        net.set_clip_threshold(site, effective)?;
-                        let auc = self.config.auc.measure(net, &evaluators.evaluator());
-                        memo.insert(effective.to_bits(), auc);
-                        auc
-                    }
-                };
+            // T = 0 means "clip everything"; evaluate it as an
+            // infinitesimal positive threshold.
+            let effective = boundaries.map(|t| if t > 0.0 { t } else { act_max * 1e-6 });
+            // the iteration's boundaries are fixed before any is measured,
+            // so the new ones are measured together
+            let mut fresh: Vec<f32> = Vec::new();
+            for t in effective {
+                if !memo.contains_key(&t.to_bits()) && !fresh.iter().any(|f| f.to_bits() == t.to_bits()) {
+                    fresh.push(t);
+                }
             }
+            for (t, auc) in fresh.iter().zip(evaluators.aucs(net, &fresh)?) {
+                memo.insert(t.to_bits(), auc);
+            }
+            let aucs = effective.map(|t| memo[&t.to_bits()]);
             let best_index = argmax(&aucs);
             trace.push(IterationTrace { interval, boundaries, aucs, best_index });
             best_t = boundaries[best_index];
@@ -213,8 +216,10 @@ impl ThresholdTuner {
 ///
 /// Costs `points` AUC evaluations versus Algorithm 1's `4 × iterations`;
 /// `ftclip run ablation-tuner-vs-grid` compares quality per evaluation.
-/// The measurements share a prefix cache whenever [`SiteEvaluator`] allows
-/// it. The site's threshold is left set to the selected value.
+/// All points are measured together, in one [`SiteEvaluator::aucs`] call
+/// over the thread budget, and share a prefix cache whenever
+/// [`SiteEvaluator`] allows it. The first maximum wins, and the site's
+/// threshold is left set to it.
 ///
 /// # Errors
 ///
@@ -237,12 +242,11 @@ pub fn grid_search_site(
         return Err(NnError::InvalidThreshold { value: act_max });
     }
     net.set_clip_threshold(site, act_max)?;
-    let evaluators = SiteEvaluator::new(auc, eval, site);
+    let thresholds: Vec<f32> = (1..=points).map(|k| act_max * k as f32 / points as f32).collect();
+    let scores = SiteEvaluator::new(auc, eval, site).aucs(net, &thresholds)?;
     let mut best = (act_max, f64::NEG_INFINITY);
-    for k in 1..=points {
-        let t = act_max * k as f32 / points as f32;
-        net.set_clip_threshold(site, t)?;
-        let score = auc.measure(net, &evaluators.evaluator());
+    for (&t, score) in thresholds.iter().zip(scores) {
+        // strict: the first maximum wins
         if score > best.1 {
             best = (t, score);
         }

@@ -253,8 +253,8 @@ fn thresholds_measured_out_of_order_match_fresh_measurements() {
     let mut distinct = BTreeSet::new();
     for t in [2.5f32, 0.25, 4.0, 1.0, 2.5, 0.5, 3.0, 0.25] {
         net.set_clip_threshold(4, t).unwrap();
-        let shared = auc.measure(&mut net, &evaluators.evaluator());
-        let fresh = auc.measure(&mut net, &eval.suffix_eval());
+        let shared = auc.measure(&net, &evaluators.evaluator());
+        let fresh = auc.measure(&net, &eval.suffix_eval());
         assert_eq!(shared.to_bits(), fresh.to_bits(), "T = {t}");
         distinct.insert(fresh.to_bits());
     }
@@ -280,7 +280,7 @@ fn grid_search_matches_fresh_measurements() {
         for k in 1..=points {
             let t = act_max * k as f32 / points as f32;
             twin.set_clip_threshold(site, t).unwrap();
-            let score = auc.measure(&mut twin, &eval.suffix_eval());
+            let score = auc.measure(&twin, &eval.suffix_eval());
             if score > best.1 {
                 best = (t, score);
             }
@@ -327,7 +327,7 @@ fn the_cut_cache_computes_each_faulted_cell_once_plus_the_clean_pass() {
     let auc = tuner_cfg(InjectionTarget::Layer(3), vec![1e-5, 1e-3, 1e-2]).auc;
     let mut net = clipped_two_site_net();
     let faulted = auc
-        .run_campaign(&mut net, &eval.suffix_eval())
+        .run_campaign(&net, &eval.suffix_eval())
         .runs
         .iter()
         .filter(|r| r.fault_count > 0)
@@ -337,11 +337,60 @@ fn the_cut_cache_computes_each_faulted_cell_once_plus_the_clean_pass() {
     let thresholds = [1.0f32, 2.0, 3.0, 4.0];
     for t in thresholds {
         net.set_clip_threshold(4, t).unwrap();
-        auc.measure(&mut net, &evaluators.evaluator());
+        auc.measure(&net, &evaluators.evaluator());
     }
     // every campaign evaluates the clean pass and each faulted cell once
     let per_campaign = faulted as u64 + 1;
     let stats = evaluators.evaluator().cache().stats();
     assert_eq!(stats.cut_misses, per_campaign, "one miss per faulted cell, plus the clean pass");
     assert_eq!(stats.cut_hits, (thresholds.len() as u64 - 1) * per_campaign);
+}
+
+#[test]
+fn concurrent_measurements_compute_each_cut_slot_once() {
+    let eval = EvalSet::from_dataset(data().val(), 16);
+    let batches = 3; // 48 images in batches of 16
+    let auc = tuner_cfg(InjectionTarget::Layer(3), vec![1e-3, 1e-2]).auc;
+    let twins: Vec<Sequential> = [0.5f32, 1.5, 2.5, 4.0]
+        .iter()
+        .map(|&t| {
+            let mut twin = clipped_two_site_net();
+            twin.set_clip_threshold(4, t).unwrap();
+            twin
+        })
+        .collect();
+    let alone: Vec<u64> = twins
+        .iter()
+        .map(|twin| auc.measure(twin, &eval.suffix_eval()).to_bits())
+        .collect();
+    let one_run_per_slot = |evaluators: &SiteEvaluator, what: &str| {
+        let stats = evaluators.evaluator().cache().stats();
+        assert!(stats.cut_hits > 0, "{what}: the measurements must share cells");
+        assert_eq!(
+            stats.cut_computes,
+            stats.cut_misses * batches,
+            "{what}: one feeding-layer run per cut slot"
+        );
+    };
+    // campaigns measured side by side walk the same cells in near
+    // lockstep, so every round gives a second fill of one slot a chance
+    for round in 0..8 {
+        let evaluators = SiteEvaluator::new(&auc, &eval, 4);
+        let aucs = ftclip_tensor::with_thread_limit(4, || {
+            ftclip_tensor::fan_out(
+                ftclip_tensor::num_threads(),
+                twins.len(),
+                || (),
+                |(), i| auc.measure(&twins[i], &evaluators.evaluator()).to_bits(),
+            )
+        });
+        assert_eq!(aucs, alone, "round {round}");
+        one_run_per_slot(&evaluators, &format!("side by side, round {round}"));
+    }
+    // the tuner's path: a fill pass, then the measurements side by side
+    let evaluators = SiteEvaluator::new(&auc, &eval, 4);
+    let thresholds = [0.5f32, 1.5, 2.5, 4.0];
+    let aucs = ftclip_tensor::with_thread_limit(4, || evaluators.aucs(&clipped_two_site_net(), &thresholds));
+    assert_eq!(aucs.unwrap().iter().map(|a| a.to_bits()).collect::<Vec<_>>(), alone, "aucs");
+    one_run_per_slot(&evaluators, "aucs");
 }
